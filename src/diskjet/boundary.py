@@ -14,13 +14,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .common import DomainError, WrongRegimeError
 from .dieudonne import coeff_a, coeff_b
 from .envelope import (BRANCH_TOL, EnvelopeConfig, _gap, _wrap, classify_regime,
-                       critical_angles, support_point)
+                       critical_angles, support_arrays, support_point)
 
 #: adaptive refinement stops once adjacent samples are this close in angle
 REFINE_WIDTH = 1e-3
@@ -156,8 +159,9 @@ def closed_form_cap(spec: RegionSpec, zeta: complex) -> complex:
     return spec.push(zeta * (1.0 - eta * zeta))
 
 
-def _theta_grid(n: int) -> list:
-    return [-math.pi + 2.0 * math.pi * (k + 1) / n for k in range(n)]
+def _theta_grid(n: int) -> np.ndarray:
+    """n directions -pi + 2 pi k / n, k = 1..n."""
+    return -math.pi + 2.0 * math.pi * np.arange(1, n + 1) / n
 
 
 def sample_boundary(spec: RegionSpec, n: int) -> BoundaryCurve:
@@ -168,7 +172,7 @@ def sample_boundary(spec: RegionSpec, n: int) -> BoundaryCurve:
     """
     if n < 16:
         raise DomainError("need n >= 16")
-    thetas = _theta_grid(n)
+    thetas = _theta_grid(n).tolist()
     if spec.regime == "iii":
         th1, th2 = critical_angles(spec.env)
         extra = []
@@ -179,7 +183,11 @@ def sample_boundary(spec: RegionSpec, n: int) -> BoundaryCurve:
                 extra.extend((_wrap(tc - w), _wrap(tc + w)))
             extra.append(tc)
         thetas = sorted(set(thetas) | set(extra))
-    pts = tuple(gamma_point(spec, th) for th in thetas)
+    full, _, _, v = support_arrays(spec.env, thetas)
+    # push with Python complex, as gamma_point does: numpy's complex
+    # arithmetic rounds differently, and the trace must equal gamma pointwise
+    pts = tuple(BoundaryPoint(th, spec.push(vt), "arc" if arc else "cap")
+                for th, arc, vt in zip(thetas, full.tolist(), v.tolist()))
     return BoundaryCurve(points=pts, closed=True)
 
 
@@ -190,39 +198,24 @@ def denormalize(curve: BoundaryCurve, phi: float, xi: float) -> BoundaryCurve:
     return BoundaryCurve(points=pts, closed=curve.closed)
 
 
-def contains(spec: RegionSpec, w: complex, slack: float = 1e-7, ngrid: int = 720) -> bool:
+def contains(spec: RegionSpec, w, slack: float = 1e-7, ngrid: int = 720):
     """Half-plane support test: w is in the region iff for every sampled
     direction it stays on the inner side of the supporting line.
 
-    The test is outer-approximating in the grid, so genuine members are
-    never rejected; slack is measured in the envelope frame.
+    ``w`` is one point, giving a bool, or an iterable of points, giving a
+    list of bools; the support grid is computed once per call, so test many
+    points in one call.  The test is outer-approximating in the grid, so
+    genuine members are never rejected; slack is measured in the envelope
+    frame.
     """
-    u = spec.pull(w)
-    for th in _theta_grid(ngrid):
-        sp = support_point(spec.env, th)
-        e = cmath.exp(-1j * th)
-        if (e * u).real > (e * sp.v_theta).real + slack:
-            return False
-    return True
-
-
-def support_points(spec: RegionSpec, ngrid: int = 720):
-    """Envelope-frame support points on a uniform direction grid (cached
-    by callers running many containment tests)."""
-    return [support_point(spec.env, th) for th in _theta_grid(ngrid)]
-
-
-def contains_many(spec: RegionSpec, ws, slack: float = 1e-7, ngrid: int = 720):
-    """Vector form of :func:`contains` reusing one support-point grid."""
-    sps = support_points(spec, ngrid)
+    single = isinstance(w, numbers.Number)
+    thetas = _theta_grid(ngrid)
+    _, _, _, v = support_arrays(spec.env, thetas)
+    e = np.exp(-1j * thetas)
+    er, ei = e.real, e.imag
+    bound = er * v.real - ei * v.imag + slack
     out = []
-    for w in ws:
-        u = spec.pull(w)
-        ok = True
-        for sp in sps:
-            e = cmath.exp(-1j * sp.theta)
-            if (e * u).real > (e * sp.v_theta).real + slack:
-                ok = False
-                break
-        out.append(ok)
-    return out
+    for x in ([w] if single else w):
+        u = spec.pull(complex(x))
+        out.append(not (er * u.real - ei * u.imag > bound).any())
+    return out[0] if single else out

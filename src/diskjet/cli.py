@@ -25,6 +25,9 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY = 3
 
+#: largest ``boundary --n``: the trace holds O(n) arrays and points in memory
+BOUNDARY_MAX_N = 100_000
+
 
 class _UsageError(Exception):
     pass
@@ -158,8 +161,8 @@ def _curve_svg(curve: bnd.BoundaryCurve, regime: str) -> str:
 
 
 def _cmd_boundary(args) -> int:
-    if args.n < 16:
-        raise _UsageError("need --n >= 16")
+    if not 16 <= args.n <= BOUNDARY_MAX_N:
+        raise _UsageError(f"need 16 <= --n <= {BOUNDARY_MAX_N}")
     z0 = parse_complex(args.z0)
     w0 = parse_complex(args.w0)
     w1 = parse_complex(args.w1)
@@ -189,6 +192,8 @@ def _cmd_extremal(args) -> int:
     lam = parse_complex(args.lam)
     mu = parse_complex(args.mu) if args.mu is not None else None
     theta = args.theta
+    if not math.isfinite(theta):
+        raise _UsageError("--theta must be finite")
     r, s = abs(z0), abs(w0)
     phi = cmath.phase(z0)
     xi = cmath.phase(w0) if w0 != 0 else 0.0
@@ -230,6 +235,8 @@ def _cmd_extremal(args) -> int:
 # verify
 
 def _cmd_verify(args) -> int:
+    if args.n < 1:
+        raise _UsageError("need --n >= 1")
     report = verify.run_suite(args.suite, args.n, args.seed)
     _emit(report.to_json() + "\n", args.out)
     return EXIT_VERIFY if report.violations else EXIT_OK
@@ -257,7 +264,8 @@ def build_parser() -> _Parser:
     b.add_argument("--z0", required=True)
     b.add_argument("--w0", required=True)
     b.add_argument("--w1", required=True)
-    b.add_argument("--n", type=int, default=360)
+    b.add_argument("--n", type=int, default=360,
+                   help=f"base samples, 16 to {BOUNDARY_MAX_N} (default 360)")
     b.add_argument("--format", choices=("csv", "svg", "json"), default="csv")
     b.add_argument("--out")
     b.set_defaults(func=_cmd_boundary)

@@ -6,7 +6,9 @@ over zeta in the closed unit disk.  The union V is a compact convex set;
 its boundary is traced by support points v_theta, one per direction
 theta, obtained either from an interior tangent disk (when the defining
 gap is negative) or from a degenerate point-circle on |zeta| = 1 (found
-by a bracketed root solve).
+by a monotone Newton solve).  ``support_arrays`` evaluates the whole
+construction for an array of directions with numpy; the scalar helpers
+are its length-1 case.
 
 Configs may be abstract: any t > |eta| is accepted, even pairs not
 realizable from admissible (r, s, lambda) data, so all three boundary
@@ -19,13 +21,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
+import numpy as np
 
 from .common import ClosedDisk, DomainError, WrongRegimeError
 
 #: Absolute tolerance on the branch predicate |t e^{i theta} - conj(eta)|
 #: - 2 (t^2 - |eta|^2); makes the branch switch deterministic.
 BRANCH_TOL = 1e-12
+
+#: Newton steps allowed per root; convergence takes at most about 10
+MAX_NEWTON = 100
 
 
 @dataclass(frozen=True)
@@ -64,10 +69,69 @@ def circle_family(cfg: EnvelopeConfig, zeta: complex) -> ClosedDisk:
     return ClosedDisk(zeta * (1.0 - cfg.eta * zeta), cfg.t * max(0.0, 1.0 - az * az))
 
 
-def _gap(cfg: EnvelopeConfig, theta: float) -> float:
+def _gap(cfg: EnvelopeConfig, theta):
+    """Branch predicate at t for a theta or an array of thetas: negative on
+    the tangent-disk ("full-point") branch."""
     ae = abs(cfg.eta)
-    return abs(cfg.t * cmath.exp(1j * theta) - cfg.eta.conjugate()) \
+    return np.abs(cfg.t * np.exp(1j * theta) - cfg.eta.conjugate()) \
         - 2.0 * (cfg.t * cfg.t - ae * ae)
+
+
+def _root_x(cfg: EnvelopeConfig, w: np.ndarray) -> np.ndarray:
+    """The x > |eta| with |x w - conj(eta)| = 2 (x^2 - |eta|^2), per unimodular w.
+
+    With c + i d = w eta, squaring gives the quartic
+    F(x) = 4 (x^2 - |eta|^2)^2 - (x - c)^2 - d^2, which has the same single
+    root on x > |eta| and is convex there (x >= 1/4 on that part).  Newton
+    started at the upper bound U, where |x w - conj(eta)| <= x - c + |d|
+    gives F(U) >= 0, therefore decreases monotonically onto the root.  Each
+    element is frozen as soon as its iterate stops decreasing, so its value
+    does not depend on the other elements of the batch.
+    """
+    ae = abs(cfg.eta)
+    we = w * cfg.eta
+    c, d = we.real, we.imag
+    lo = ae + 1e-15 * (1.0 + ae)
+    # f(lo) >= 0 only at theta = -arg(eta) with the root collapsing onto
+    # |eta|; those elements keep x = lo
+    going = 2.0 * (lo * lo - ae * ae) < np.hypot(lo - c, d)
+    upper = 0.25 * (1.0 + np.sqrt(1.0 + 16.0 * ae * ae - 8.0 * c + 8.0 * np.abs(d)))
+    x = np.where(going, np.maximum(upper, lo), lo)
+    d2 = d * d
+    # frozen elements keep being evaluated and may divide by zero; their
+    # steps are discarded
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_NEWTON):
+            p = (x - ae) * (x + ae)
+            xc = x - c
+            xn = x - (4.0 * p * p - xc * xc - d2) / (16.0 * x * p - 2.0 * xc)
+            going &= xn < x
+            if not going.any():
+                return x
+            x = np.where(going, xn, x)
+    raise RuntimeError("Newton iteration in the root solve did not settle")  # pragma: no cover
+
+
+def support_arrays(cfg: EnvelopeConfig, thetas):
+    """Support construction for every direction of a theta array at once.
+
+    Returns four arrays of the shape of ``thetas``: the branch mask (True on
+    the tangent-disk "full-point" branch), t_theta, zeta_theta and v_theta.
+    Every support point of the package comes from here, and each element is
+    computed independently of the others, so one theta gives bit for bit the
+    same result alone as inside any batch.
+    """
+    th = np.asarray(thetas, dtype=float)
+    w = np.exp(1j * th)
+    ae = abs(cfg.eta)
+    full = _gap(cfg, th) < -BRANCH_TOL
+    x = np.full(th.shape, cfg.t)
+    x[~full] = _root_x(cfg, w[~full])
+    zeta = (x * w - cfg.eta.conjugate()) / (2.0 * (x * x - ae * ae))
+    v = zeta * (1.0 - cfg.eta * zeta)
+    # on the tangent-disk branch, add the radius of the member disk at zeta
+    v = np.where(full, v + cfg.t * np.maximum(0.0, 1.0 - np.abs(zeta) ** 2) * w, v)
+    return full, x, zeta, v
 
 
 def solve_t_theta(cfg: EnvelopeConfig, theta: float) -> float:
@@ -76,52 +140,20 @@ def solve_t_theta(cfg: EnvelopeConfig, theta: float) -> float:
     When the gap at t is nonnegative, returns the unique x > |eta| with
     |x e^{i theta} - conj(eta)| = 2 (x^2 - |eta|^2); otherwise returns t.
     """
-    if _gap(cfg, theta) < -BRANCH_TOL:
-        return cfg.t
-    ae = abs(cfg.eta)
-    eb = cfg.eta.conjugate()
-    w = cmath.exp(1j * theta)
-
-    def f(x: float) -> float:
-        return 2.0 * (x * x - ae * ae) - abs(x * w - eb)
-
-    lo = ae + 1e-15 * (1.0 + ae)
-    if f(lo) >= 0.0:
-        # only at theta = -arg(eta) with the root collapsing onto |eta|
-        return lo
-    hi = max(cfg.t, lo + 0.5)
-    for _ in range(200):
-        if f(hi) > 0.0:
-            break
-        hi *= 2.0
-    else:  # pragma: no cover - RHS is eventually quadratic-dominant
-        raise RuntimeError("root bracketing failure in solve_t_theta")
-    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    return support_point(cfg, theta).t_theta
 
 
 def zeta_theta(cfg: EnvelopeConfig, theta: float) -> complex:
     """Family parameter of the support point; on the root branch it is
     unimodular by construction."""
-    tt = solve_t_theta(cfg, theta)
-    ae = abs(cfg.eta)
-    if tt <= ae:
-        raise DomainError("degenerate configuration: t_theta <= |eta|")
-    return (tt * cmath.exp(1j * theta) - cfg.eta.conjugate()) / (2.0 * (tt * tt - ae * ae))
+    return support_point(cfg, theta).zeta_theta
 
 
 def support_point(cfg: EnvelopeConfig, theta: float) -> SupportPoint:
     """Boundary point of V in direction theta with its branch tag."""
-    gap = _gap(cfg, theta)
-    if gap < -BRANCH_TOL:
-        zt = zeta_theta(cfg, theta)
-        disk = circle_family(cfg, zt)
-        v = disk.center + disk.radius * cmath.exp(1j * theta)
-        return SupportPoint(theta, cfg.t, zt, v, "full-point")
-    tt = solve_t_theta(cfg, theta)
-    ae = abs(cfg.eta)
-    zt = (tt * cmath.exp(1j * theta) - cfg.eta.conjugate()) / (2.0 * (tt * tt - ae * ae))
-    v = zt * (1.0 - cfg.eta * zt)
-    return SupportPoint(theta, tt, zt, v, "disk-point")
+    full, x, zeta, v = support_arrays(cfg, [theta])
+    return SupportPoint(theta, float(x[0]), complex(zeta[0]), complex(v[0]),
+                        "full-point" if full[0] else "disk-point")
 
 
 def classify_regime(cfg: EnvelopeConfig) -> str:

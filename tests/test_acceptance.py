@@ -15,7 +15,7 @@ from diskjet import (blaschke_jet, disk_order1, disk_order2, eval_extremal,
                      peschl_derivatives, region_spec, sample_boundary,
                      schur_residual, sharp_bound_lambda1)
 from diskjet.boundary import abstract_region, closed_form_cap, \
-    closed_form_circle, contains_many
+    closed_form_circle, contains
 from diskjet.dieudonne import NormalizedConfig, coeff_a, coeff_b
 from diskjet.envelope import _gap, circle_family, zeta_theta
 from diskjet.verify import extremal_attainment_audit, fd_audit, regime2_search
@@ -119,7 +119,7 @@ def test_criterion_06_convexity_and_containment():
             zeta = random_disk_point(gen, cap=1.0)
             d = circle_family(spec.env, zeta)
             ws.append(spec.push(d.center + d.radius * random_disk_point(gen, cap=1.0)))
-        inside_ok = inside_ok and all(contains_many(spec, ws, slack=1e-7))
+        inside_ok = inside_ok and all(contains(spec, ws, slack=1e-7))
     ok = convex_ok and inside_ok
     report(6, "convexity and containment", ok,
            f"convex={convex_ok}, contained={inside_ok}")

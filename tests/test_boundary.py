@@ -9,8 +9,8 @@ from diskjet import (DomainError, InterpolationData, NormalizedConfig,
                      WrongRegimeError, abstract_region, closed_form_cap,
                      closed_form_circle, eval_extremal, extremal_spec, gamma,
                      normalize, region_spec, sample_boundary)
-from diskjet.boundary import contains, contains_many, denormalize, gamma_point
-from diskjet.envelope import _gap, zeta_theta
+from diskjet.boundary import contains, denormalize, gamma_point
+from diskjet.envelope import _gap, support_point, zeta_theta
 
 from conftest import random_disk_point, rng
 
@@ -133,7 +133,7 @@ def test_containment_inner_points():
             d = circle_family(spec.env, zeta)
             w = d.center + d.radius * random_disk_point(gen, cap=1.0)
             ws.append(spec.push(w))
-        assert all(contains_many(spec, ws))
+        assert all(contains(spec, ws))
 
 
 def test_containment_rejects_outside():
@@ -144,6 +144,30 @@ def test_containment_rejects_outside():
         bp = gamma_point(spec, 0.7)
         outward = spec.push(spec.pull(bp.value) + 1e-3 * cmath.exp(0.7j))
         assert not contains(spec, outward, slack=1e-7)
+
+
+def test_trace_replays_support_points_bit_for_bit():
+    # the batch trace equals scalar support points pushed one by one
+    for spec in (SPEC_I, SPEC_II, SPEC_ADM, SPEC_III):
+        curve = sample_boundary(spec, 360)
+        replayed = []
+        for p in curve.points:
+            sp = support_point(spec.env, p.theta)
+            assert p.branch == ("arc" if sp.regime_branch == "full-point" else "cap")
+            replayed.append(spec.push(sp.v_theta))
+        assert curve.values() == replayed
+
+
+def test_contains_array_matches_scalar():
+    # points straddling the boundary along each support direction
+    for spec in (SPEC_I, SPEC_II, SPEC_ADM):
+        ws = [spec.push(spec.pull(gamma(spec, th)) * scale)
+              for th in grid(40) for scale in (0.5, 1.0 - 1e-6, 1.0 + 1e-9, 1.0 + 1e-4)]
+        ws.append(spec.push(100.0 + 0j))
+        verdicts = contains(spec, ws)
+        assert verdicts == [contains(spec, w) for w in ws]
+        assert all(type(v) is bool for v in verdicts)
+        assert True in verdicts and False in verdicts
 
 
 def test_boundary_points_on_boundary():
@@ -216,4 +240,4 @@ def test_region_matches_disk_union_sampling():
         mu = random_disk_point(gen, cap=1.0)
         d = disk_order3_params(complex(r), complex(s), lam, mu)
         ws.append(d.center + d.radius * random_disk_point(gen, cap=1.0))
-    assert all(contains_many(spec, ws))
+    assert all(contains(spec, ws))

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +78,19 @@ def test_usage_errors(capsys):
     assert run(capsys, "disk", "--order", "1", "--z0", "xyz", "--w0", "0")[0] == EXIT_USAGE
     assert run(capsys, "boundary", "--z0", "0.5", "--w0", "0.25", "--w1", "0.55",
                "--n", "8")[0] == EXIT_USAGE
+
+
+def test_boundary_n_cap(capsys, monkeypatch):
+    # above the cap the usage check fires before any trace is computed
+    def trace(*args):
+        raise AssertionError("traced an over-cap --n")
+    monkeypatch.setattr("diskjet.cli.bnd.sample_boundary", trace)
+    code, _, err = run(capsys, "boundary", "--z0", "0.5", "--w0", "0.25", "--w1", "0.55",
+                       "--n", str(cli.BOUNDARY_MAX_N + 1))
+    assert code == EXIT_USAGE and str(cli.BOUNDARY_MAX_N) in err
+    with pytest.raises(SystemExit):
+        main(["boundary", "--help"])
+    assert str(cli.BOUNDARY_MAX_N) in capsys.readouterr().out
 
 
 def boundary_args(fmt="csv", n="64"):
@@ -155,6 +172,20 @@ def test_extremal_depths(capsys):
     assert code == EXIT_USAGE and "--mu" in err
 
 
+def test_extremal_rejects_nonfinite_theta(capsys):
+    for theta in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "extremal", "--z0", "0.5", "--w0", "0.25",
+                             "--lambda", "0.3+0.2i", "--mu", "0.4-0.3i",
+                             "--theta", theta)
+        assert code == EXIT_USAGE and out == "" and "--theta" in err
+
+
+def test_verify_rejects_nonpositive_n(capsys):
+    for n in ("-5", "0"):
+        code, out, err = run(capsys, "verify", "--suite", "membership", "--n", n)
+        assert code == EXIT_USAGE and out == "" and "--n" in err
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "membership", "--n", "50",
                        "--seed", "2")
@@ -183,3 +214,12 @@ def test_console_entry_point():
     assert callable(cli.main)
     parser = cli.build_parser()
     assert parser.prog == "diskjet"
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, diskjet; "
+            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "import diskjet loaded scipy"

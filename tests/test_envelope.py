@@ -8,13 +8,19 @@ import pytest
 from diskjet import (ClosedDisk, DomainError, EnvelopeConfig, WrongRegimeError,
                      circle_family, classify_regime, critical_angles,
                      solve_t_theta, support_point, zeta_theta)
-from diskjet.envelope import _gap, _wrap
+from diskjet.envelope import BRANCH_TOL, _gap, _wrap, support_arrays
 
 from conftest import random_disk_point, rng
 
 CFG_I = EnvelopeConfig(t=0.3, eta=0.1 + 0.05j)          # t + |eta| <= 1/2
 CFG_II = EnvelopeConfig(t=0.8, eta=0.1 - 0.07j)         # t - |eta| >= 1/2
 CFG_III = EnvelopeConfig(t=0.52, eta=0.2j)              # mixed
+EDGE_CFGS = (
+    EnvelopeConfig(t=0.3, eta=0j),                                   # eta = 0
+    EnvelopeConfig(t=0.2 * (1.0 + 1e-12), eta=0.2j),                 # t -> |eta|
+    # at theta = -arg eta the root collapses onto |eta|
+    EnvelopeConfig(t=0.3 * (1.0 + 1e-12), eta=0.3 * cmath.exp(0.4j)),
+)
 
 
 def grid(n=360):
@@ -49,16 +55,44 @@ def test_classify_regime():
 
 
 def test_root_branch_residual_and_unimodularity():
-    for cfg in (CFG_I, CFG_III):
-        for th in grid(73):
-            if _gap(cfg, th) < 0.0:
+    for cfg in (CFG_I, CFG_III) + EDGE_CFGS:
+        for th in grid(73) + [-cmath.phase(cfg.eta)]:
+            gap = _gap(cfg, th)
+            if gap < -BRANCH_TOL:
                 continue
             tt = solve_t_theta(cfg, th)
             ae = abs(cfg.eta)
+            assert tt > ae
             res = abs(tt * cmath.exp(1j * th) - cfg.eta.conjugate()) \
                 - 2.0 * (tt * tt - ae * ae)
             assert abs(res) < 1e-12
-            assert abs(abs(zeta_theta(cfg, th)) - 1.0) < 1e-12
+            # inside the tolerance band the root has collapsed onto |eta| and
+            # zeta is not unimodular
+            if gap >= 0.0:
+                assert abs(abs(zeta_theta(cfg, th)) - 1.0) < 1e-12
+
+
+def _bisection_root(cfg, th):
+    """Reference root of 2 (x^2 - |eta|^2) = |x e^{i theta} - conj(eta)| by
+    plain bisection on [|eta|, |eta| + 1/2]."""
+    ae = abs(cfg.eta)
+    w = cmath.exp(1j * th)
+    lo, hi = ae, ae + 0.5
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 2.0 * (mid * mid - ae * ae) - abs(mid * w - cfg.eta.conjugate()) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_newton_root_matches_bisection_reference():
+    for cfg in (CFG_I, CFG_III) + EDGE_CFGS[:2]:
+        thetas = [th for th in grid(97) if _gap(cfg, th) >= 0.0]
+        t_batch = support_arrays(cfg, thetas)[1]
+        for th, tt in zip(thetas, t_batch):
+            assert abs(tt - _bisection_root(cfg, th)) < 1e-14
 
 
 def test_strict_branch_returns_t():

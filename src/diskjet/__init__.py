@@ -5,7 +5,14 @@ Built around degree-3 Taylor jets of nested Moebius transformations and
 finite Blaschke products; the second- and third-derivative regions are
 closed disks, and the region over all admissible second derivatives is a
 convex set bounded by an envelope of circles.
+
+The closed-form layers (jets, disks, Peschl invariants) load with the
+package.  The envelope, boundary and audit layers need numpy; their names
+are served lazily (PEP 562), so ``import diskjet`` and the ``disk`` /
+``extremal`` commands never import numpy.
 """
+
+from importlib import import_module as _import_module
 
 from .common import (ClosedDisk, DegenerateCaseError, DomainError,
                      InfeasibleConstraintError, WrongRegimeError)
@@ -18,16 +25,34 @@ from .dieudonne import (ExtremalSpec, InterpolationData, NormalizedConfig,
                         disk_order3_params, eval_extremal, extremal_spec,
                         lambda_from_w1, mu_from_w2, normalize, normalized_disk,
                         sharp_bound_lambda1)
-from .envelope import (EnvelopeConfig, SupportPoint, circle_family,
-                       classify_regime, critical_angles, solve_t_theta,
-                       support_point, zeta_theta)
-from .boundary import (BoundaryCurve, BoundaryPoint, RegionSpec,
-                       abstract_region, closed_form_cap, closed_form_circle,
-                       contains, denormalize, gamma, region_spec,
-                       sample_boundary)
-from .verify import (VerificationReport, fd_audit, fd_jet, membership_audit,
-                     regime2_search, sample_self_map)
+
+#: public names of the numpy-backed submodules, imported on first access
+_LAZY = {
+    "envelope": ("EnvelopeConfig", "SupportPoint", "circle_family", "classify_regime",
+                 "critical_angles", "solve_t_theta", "support_point", "zeta_theta"),
+    "boundary": ("BoundaryCurve", "BoundaryPoint", "RegionSpec", "abstract_region",
+                 "closed_form_cap", "closed_form_circle", "contains", "denormalize",
+                 "gamma", "region_spec", "sample_boundary"),
+    "verify": ("VerificationReport", "fd_audit", "fd_jet", "membership_audit",
+               "regime2_search", "sample_self_map"),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + list(_LAZY) + list(_OWNER))
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return _import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

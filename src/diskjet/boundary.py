@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .common import DomainError, WrongRegimeError
-from .dieudonne import coeff_a, coeff_b
+from .dieudonne import CASE1_TOL, coeff_a, coeff_b
 from .envelope import (BRANCH_TOL, EnvelopeConfig, _gap, _wrap, classify_regime,
                        critical_angles, support_arrays, support_point)
 
@@ -92,8 +92,9 @@ def region_spec(r: float, s: float, lam: complex) -> RegionSpec:
     if not 0.0 <= s < r < 1.0:
         raise DomainError("need 0 <= s < r < 1")
     lam = complex(lam)
-    if not abs(lam) < 1.0:
-        raise DomainError("need |lambda| < 1 (otherwise the region is a point)")
+    # the disk API's case-(1) rule: there the third derivative is one value
+    if not abs(lam) < 1.0 - CASE1_TOL:
+        raise DomainError("need |lambda| < 1 - CASE1_TOL (otherwise the region is a point)")
     denom = 1.0 + r * r - 2.0 * s * lam
     gap_l = 1.0 - abs(lam) ** 2
     env = EnvelopeConfig(t=r / abs(denom), eta=r * lam.conjugate() / denom)

@@ -15,9 +15,7 @@ import math
 import sys
 from typing import Optional
 
-from . import boundary as bnd
 from . import dieudonne as dd
-from . import verify
 from .common import DomainError, InfeasibleConstraintError
 
 EXIT_OK = 0
@@ -27,6 +25,12 @@ EXIT_VERIFY = 3
 
 #: largest ``boundary --n``: the trace holds O(n) arrays and points in memory
 BOUNDARY_MAX_N = 100_000
+#: largest ``verify --n`` as a sample count (membership, fd, all): the audits
+#: take 0.1-0.2 ms per sample, so a run at the cap ends within minutes
+VERIFY_MAX_SAMPLES = 1_000_000
+#: largest ``verify --suite regime2 --n``, the per-axis grid density: the
+#: search visits n^3 points, about 20 s at the cap
+VERIFY_MAX_GRID = 400
 
 
 class _UsageError(Exception):
@@ -108,14 +112,14 @@ def _cmd_disk(args) -> int:
 # --------------------------------------------------------------------------
 # boundary
 
-def _curve_csv(curve: bnd.BoundaryCurve) -> str:
+def _curve_csv(curve) -> str:
     lines = ["theta,re,im,branch"]
     for p in curve.points:
         lines.append(f"{p.theta:.17g},{p.value.real:.17g},{p.value.imag:.17g},{p.branch}")
     return "\n".join(lines) + "\n"
 
 
-def _curve_json(curve: bnd.BoundaryCurve, regime: str) -> str:
+def _curve_json(curve, regime: str) -> str:
     return _json({
         "regime": regime,
         "points": [
@@ -128,7 +132,7 @@ def _curve_json(curve: bnd.BoundaryCurve, regime: str) -> str:
     })
 
 
-def _curve_svg(curve: bnd.BoundaryCurve, regime: str) -> str:
+def _curve_svg(curve, regime: str) -> str:
     vals = curve.values()
     xs = [v.real for v in vals]
     ys = [v.imag for v in vals]
@@ -172,6 +176,7 @@ def _cmd_boundary(args) -> int:
         raise InfeasibleConstraintError(
             "|lambda| = 1: third derivative is the single forced value of the "
             "degenerate case (1); no boundary curve exists")
+    from . import boundary as bnd  # numpy loads only once the inputs are valid
     spec = bnd.region_spec(cfg.r, cfg.s, cfg.lam)
     curve = bnd.denormalize(bnd.sample_boundary(spec, args.n), cfg.phi, cfg.xi)
     if args.format == "csv":
@@ -235,8 +240,10 @@ def _cmd_extremal(args) -> int:
 # verify
 
 def _cmd_verify(args) -> int:
-    if args.n < 1:
-        raise _UsageError("need --n >= 1")
+    cap = VERIFY_MAX_GRID if args.suite == "regime2" else VERIFY_MAX_SAMPLES
+    if not 1 <= args.n <= cap:
+        raise _UsageError(f"need 1 <= --n <= {cap} for --suite {args.suite}")
+    from . import verify
     report = verify.run_suite(args.suite, args.n, args.seed)
     _emit(report.to_json() + "\n", args.out)
     return EXIT_VERIFY if report.violations else EXIT_OK
@@ -283,7 +290,9 @@ def build_parser() -> _Parser:
     v.add_argument("--suite", choices=("membership", "fd", "regime2", "all"),
                    default="all")
     v.add_argument("--n", type=int, default=1000,
-                   help="samples (membership/fd) or per-axis grid density (regime2)")
+                   help=f"samples, 1 to {VERIFY_MAX_SAMPLES} (membership/fd/all), or "
+                        f"per-axis grid density, 1 to {VERIFY_MAX_GRID} (regime2); "
+                        "default 1000")
     v.add_argument("--seed", type=int, default=1)
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)

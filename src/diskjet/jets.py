@@ -5,31 +5,78 @@ analytic function at a fixed base point, so the k-th derivative is
 ``k! * a_k`` exactly by construction.  Jets are fixed at degree 3; that is
 all the disk machinery ever needs and it keeps exhaustive testing cheap.
 
-The arithmetic kernels live in a compiled Cython module with a pure
-Python twin.  The compiled backend is used when available; set the
-environment variable ``DISKJET_PURE=1`` before import to force the pure
-backend (used by the benchmark and the backend-parity tests).
+The kernels below work on plain 4-tuples of builtin complex numbers;
+:class:`Jet3` wraps them.  There is one backend, pure Python.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .common import DomainError
 
-if os.environ.get("DISKJET_PURE", "") == "1":
-    from . import _kernels_py as _k
-else:
-    try:
-        from . import _kernels as _k  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as _k
+#: the one compute backend; kept as a name for environment stamps
+BACKEND: str = "python"
 
-BACKEND: str = _k.BACKEND_NAME
+
+# --------------------------------------------------------------------------
+# kernels on (a0, a1, a2, a3) tuples
+
+def _jet_add(x, y):
+    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
+
+
+def _jet_scale(c, x):
+    return (c * x[0], c * x[1], c * x[2], c * x[3])
+
+
+def _jet_shift(c, x):
+    """Add the constant c to the jet x."""
+    return (x[0] + c, x[1], x[2], x[3])
+
+
+def _jet_mul(x, y):
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        x0 * y0,
+        x0 * y1 + x1 * y0,
+        x0 * y2 + x1 * y1 + x2 * y0,
+        x0 * y3 + x1 * y2 + x2 * y1 + x3 * y0,
+    )
+
+
+def _jet_recip(y):
+    y0, y1, y2, y3 = y
+    if y0 == 0:
+        raise ZeroDivisionError("reciprocal of a jet with zero constant term")
+    r0 = 1.0 / y0
+    r1 = -(y1 * r0) * r0
+    r2 = -(y1 * r1 + y2 * r0) * r0
+    r3 = -(y1 * r2 + y2 * r1 + y3 * r0) * r0
+    return (r0, r1, r2, r3)
+
+
+def _jet_div(x, y):
+    return _jet_mul(x, _jet_recip(y))
+
+
+def _jet_compose(x, y):
+    """Jet of f∘g where x is the jet of f at y[0] and y is the jet of g.
+
+    Faa di Bruno truncated at order 3.
+    """
+    f0, f1, f2, f3 = x
+    d1, d2, d3 = y[1], y[2], y[3]
+    return (
+        f0,
+        f1 * d1,
+        f1 * d2 + f2 * d1 * d1,
+        f1 * d3 + 2.0 * f2 * d1 * d2 + f3 * d1 * d1 * d1,
+    )
 
 
 class Jet3(NamedTuple):
@@ -54,25 +101,25 @@ class Jet3(NamedTuple):
         return math.factorial(k) * self[k]
 
     def scale(self, c: complex) -> "Jet3":
-        return Jet3(*_k.jet_scale(c, self))
+        return Jet3(*_jet_scale(c, self))
 
     def __add__(self, other):  # type: ignore[override]
         if isinstance(other, Jet3):
-            return Jet3(*_k.jet_add(self, other))
-        return Jet3(*_k.jet_shift(other, self))
+            return Jet3(*_jet_add(self, other))
+        return Jet3(*_jet_shift(other, self))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Jet3(*_k.jet_scale(-1.0, self))
+        return Jet3(*_jet_scale(-1.0, self))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet3) else -complex(other))
 
     def __mul__(self, other):  # type: ignore[override]
         if isinstance(other, Jet3):
-            return Jet3(*_k.jet_mul(self, other))
+            return Jet3(*_jet_mul(self, other))
         return self.scale(complex(other))
 
     def __rmul__(self, other):
@@ -82,13 +129,13 @@ class Jet3(NamedTuple):
         if not isinstance(other, Jet3):
             return self.scale(1.0 / complex(other))
         try:
-            return Jet3(*_k.jet_div(self, other))
+            return Jet3(*_jet_div(self, other))
         except ZeroDivisionError as exc:
             raise DomainError(str(exc)) from exc
 
     def compose(self, inner: "Jet3") -> "Jet3":
         """Jet of self∘inner; self must be expanded at inner.a0."""
-        return Jet3(*_k.jet_compose(self, inner))
+        return Jet3(*_jet_compose(self, inner))
 
 
 def jet_arith(op: str, x: Jet3, y: Jet3) -> Jet3:
@@ -138,7 +185,8 @@ def _param(a) -> complex:
 
 
 def moebius_value(a, z: complex) -> complex:
-    return _k.moebius_value(_param(a), complex(z))
+    a, z = _param(a), complex(z)
+    return (z + a) / (1.0 + a.conjugate() * z)
 
 
 def moebius_jet(a, z: Jet3) -> Jet3:
@@ -148,19 +196,31 @@ def moebius_jet(a, z: Jet3) -> Jet3:
     base point (pole crossing).
     """
     av = _param(a)
-    if abs(1.0 + av.conjugate() * z.a0) == 0.0:
+    ac = av.conjugate()
+    if abs(1.0 + ac * z.a0) == 0.0:
         raise DomainError("Moebius denominator vanishes at the base point")
-    return Jet3(*_k.moebius_jet(av, z))
+    num = (z[0] + av, z[1], z[2], z[3])
+    den = (1.0 + ac * z[0], ac * z[1], ac * z[2], ac * z[3])
+    return Jet3(*_jet_div(num, den))
 
 
 def blaschke_value(b: BlaschkeSpec, z: complex) -> complex:
-    ph = cmath.exp(1j * b.phase)
-    return _k.blaschke_value(ph.real, ph.imag, b.zeros, complex(z))
+    z = complex(z)
+    acc = cmath.exp(1j * b.phase)
+    for zj in b.zeros:
+        acc *= (z - zj) / (1.0 - zj.conjugate() * z)
+    return acc
 
 
 def blaschke_jet(b: BlaschkeSpec, z0: complex) -> Jet3:
     """Jet of the Blaschke product at an interior point z0."""
     if not abs(z0) < 1.0:
         raise DomainError(f"base point must lie in the open unit disk, got |z0|={abs(z0)}")
-    ph = cmath.exp(1j * b.phase)
-    return Jet3(*_k.blaschke_jet(ph.real, ph.imag, b.zeros, complex(z0)))
+    z0 = complex(z0)
+    acc = (cmath.exp(1j * b.phase), 0j, 0j, 0j)
+    for zj in b.zeros:
+        zjc = zj.conjugate()
+        num = (z0 - zj, 1.0 + 0j, 0j, 0j)
+        den = (1.0 - zjc * z0, -zjc, 0j, 0j)
+        acc = _jet_mul(acc, _jet_div(num, den))
+    return Jet3(*acc)

@@ -30,6 +30,11 @@ def test_region_spec_validation():
         region_spec(0.3, 0.4, 0j)
     with pytest.raises(DomainError):
         region_spec(0.5, 0.2, 1.0 + 0j)
+    # |lambda| within CASE1_TOL of 1 is the one-point case (1) of the disk API;
+    # the trace there is not convex
+    with pytest.raises(DomainError):
+        region_spec(0.5, 0.25, 1.0 - 1e-13)
+    assert sample_boundary(region_spec(0.5, 0.25, 1.0 - 1e-11), 360).is_convex()
     assert SPEC_I.regime == "i"
     assert SPEC_ADM.regime == "iii"
 

@@ -84,7 +84,7 @@ def test_boundary_n_cap(capsys, monkeypatch):
     # above the cap the usage check fires before any trace is computed
     def trace(*args):
         raise AssertionError("traced an over-cap --n")
-    monkeypatch.setattr("diskjet.cli.bnd.sample_boundary", trace)
+    monkeypatch.setattr("diskjet.boundary.sample_boundary", trace)
     code, _, err = run(capsys, "boundary", "--z0", "0.5", "--w0", "0.25", "--w1", "0.55",
                        "--n", str(cli.BOUNDARY_MAX_N + 1))
     assert code == EXIT_USAGE and str(cli.BOUNDARY_MAX_N) in err
@@ -186,6 +186,21 @@ def test_verify_rejects_nonpositive_n(capsys):
         assert code == EXIT_USAGE and out == "" and "--n" in err
 
 
+def test_verify_n_cap(capsys, monkeypatch):
+    # above the cap the usage check fires before any audit runs
+    def audit(*args):
+        raise AssertionError("ran an over-cap --n")
+    monkeypatch.setattr("diskjet.verify.run_suite", audit)
+    for suite, cap in (("membership", cli.VERIFY_MAX_SAMPLES), ("fd", cli.VERIFY_MAX_SAMPLES),
+                       ("all", cli.VERIFY_MAX_SAMPLES), ("regime2", cli.VERIFY_MAX_GRID)):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(cap + 1))
+        assert code == EXIT_USAGE and out == "" and str(cap) in err
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    help_text = capsys.readouterr().out
+    assert str(cli.VERIFY_MAX_SAMPLES) in help_text and str(cli.VERIFY_MAX_GRID) in help_text
+
+
 def test_verify_ok(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "membership", "--n", "50",
                        "--seed", "2")
@@ -196,7 +211,7 @@ def test_verify_ok(capsys):
 
 def test_verify_failure_exit(capsys, monkeypatch):
     bad = VerificationReport(suite="membership", samples=1, violations=1)
-    monkeypatch.setattr("diskjet.cli.verify.run_suite", lambda *a: bad)
+    monkeypatch.setattr("diskjet.verify.run_suite", lambda *a: bad)
     code, out, _ = run(capsys, "verify", "--suite", "membership", "--n", "1")
     assert code == EXIT_VERIFY
     assert json.loads(out)["violations"] == 1
@@ -216,10 +231,51 @@ def test_console_entry_point():
     assert parser.prog == "diskjet"
 
 
+#: public names of the package, pinned so lazy exports cannot drop one
+PUBLIC_NAMES = [
+    "BACKEND", "BlaschkeSpec", "BoundaryCurve", "BoundaryPoint", "ClosedDisk",
+    "DegenerateCaseError", "DomainError", "EnvelopeConfig", "ExtremalSpec",
+    "InfeasibleConstraintError", "InterpolationData", "Jet3", "MoebiusParam",
+    "NormalizedConfig", "PeschlTriple", "RegionSpec", "SupportPoint",
+    "VerificationReport", "WrongRegimeError", "abstract_region", "blaschke_jet",
+    "blaschke_value", "boundary", "circle_family", "classify_regime", "closed_form_cap",
+    "closed_form_circle", "common", "contains", "critical_angles", "denormalize",
+    "dieudonne", "disk_order1", "disk_order2", "disk_order3", "disk_order3_params",
+    "envelope", "eval_extremal", "extremal_spec", "fd_audit", "fd_jet", "gamma",
+    "jet_arith", "jets", "lambda_from_w1", "membership_audit", "moebius_jet",
+    "moebius_value", "mu_from_w2", "normalize", "normalized_disk", "peschl",
+    "peschl_derivatives", "peschl_via_conjugation", "regime2_search", "region_spec",
+    "sample_boundary", "sample_self_map", "schur_residual", "sharp_bound_lambda1",
+    "solve_t_theta", "support_point", "verify", "zeta_theta",
+]
+
+IMPORT_GUARD = """
+import contextlib, io, sys
+def loaded(pkg):
+    return any(m.split(".")[0] == pkg for m in sys.modules)
+import diskjet
+assert not loaded("scipy"), "import diskjet loaded scipy"
+import diskjet.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert diskjet.cli.main(["disk", "--order", "3", "--z0", "0.5", "--w0", "0.25",
+                             "--lambda", "0.3+0.2i", "--mu", "0.4-0.3i"]) == 0
+    assert diskjet.cli.main(["extremal", "--z0", "0.5", "--w0", "0.25",
+                             "--lambda", "0.3+0.2i", "--mu", "0.4-0.3i"]) == 0
+    # rejected boundary queries stop before the numpy-backed trace is imported
+    assert diskjet.cli.main(["boundary", "--z0", "0.5", "--w0", "0.25", "--w1", "0.55",
+                             "--n", "8"]) == 1
+    assert diskjet.cli.main(["boundary", "--z0", "0.25", "--w0", "0.5", "--w1", "0.5"]) == 2
+assert not loaded("numpy"), "disk / extremal / rejected boundary loaded numpy"
+assert sorted(diskjet.__all__) == %r, sorted(diskjet.__all__)
+diskjet.contains
+assert loaded("numpy"), "diskjet.contains did not load numpy"
+"""
+
+
 def test_import_loads_no_scipy():
+    # one fresh interpreter: import cost and lazy exports, not in-process state
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, diskjet; "
-            "sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD % PUBLIC_NAMES],
+                          env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr or "import diskjet loaded scipy"
+    assert proc.returncode == 0, proc.stderr

@@ -16,20 +16,20 @@ from importlib import import_module as _import_module
 
 from .common import (ClosedDisk, DegenerateCaseError, DomainError,
                      InfeasibleConstraintError, WrongRegimeError)
-from .jets import BACKEND, BlaschkeSpec, Jet3, MoebiusParam, blaschke_jet, \
-    blaschke_value, jet_arith, moebius_jet, moebius_value
+from .jets import BACKEND, BlaschkeSpec, Jet3, blaschke_jet, blaschke_value, \
+    moebius_jet, moebius_value
 from .peschl import PeschlTriple, peschl_derivatives, peschl_via_conjugation, \
     schur_residual
 from .dieudonne import (ExtremalSpec, InterpolationData, NormalizedConfig,
                         disk_order1, disk_order2, disk_order3,
                         disk_order3_params, eval_extremal, extremal_spec,
-                        lambda_from_w1, mu_from_w2, normalize, normalized_disk,
+                        lambda_from_w1, mu_from_w2, normalize,
                         sharp_bound_lambda1)
 
 #: public names of the numpy-backed submodules, imported on first access
 _LAZY = {
     "envelope": ("EnvelopeConfig", "SupportPoint", "circle_family", "classify_regime",
-                 "critical_angles", "solve_t_theta", "support_point", "zeta_theta"),
+                 "critical_angles", "support_point"),
     "boundary": ("BoundaryCurve", "BoundaryPoint", "RegionSpec", "abstract_region",
                  "closed_form_cap", "closed_form_circle", "contains", "denormalize",
                  "gamma", "region_spec", "sample_boundary"),

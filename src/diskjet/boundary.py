@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .common import DomainError, WrongRegimeError
-from .dieudonne import CASE1_TOL, coeff_a, coeff_b
+from .dieudonne import _curly_b, _scale, case
 from .envelope import (BRANCH_TOL, EnvelopeConfig, _gap, _wrap, classify_regime,
                        critical_angles, support_arrays, support_point)
 
@@ -68,7 +68,6 @@ class BoundaryPoint:
 @dataclass(frozen=True)
 class BoundaryCurve:
     points: tuple
-    closed: bool = True
 
     def values(self):
         return [p.value for p in self.points]
@@ -92,13 +91,12 @@ def region_spec(r: float, s: float, lam: complex) -> RegionSpec:
     if not 0.0 <= s < r < 1.0:
         raise DomainError("need 0 <= s < r < 1")
     lam = complex(lam)
-    # the disk API's case-(1) rule: there the third derivative is one value
-    if not abs(lam) < 1.0 - CASE1_TOL:
-        raise DomainError("need |lambda| < 1 - CASE1_TOL (otherwise the region is a point)")
+    if case(lam) == 1:
+        raise DomainError("|lambda| = 1 (case 1): the third derivative is one forced value")
     denom = 1.0 + r * r - 2.0 * s * lam
     gap_l = 1.0 - abs(lam) ** 2
     env = EnvelopeConfig(t=r / abs(denom), eta=r * lam.conjugate() / denom)
-    return RegionSpec(A=coeff_a(r, s), B=coeff_b(r, s, lam),
+    return RegionSpec(A=_scale(3, r, s), B=_curly_b(s, r, lam),
                       C=r * gap_l * denom, env=env, r=r, s=s, lam=lam)
 
 
@@ -189,14 +187,14 @@ def sample_boundary(spec: RegionSpec, n: int) -> BoundaryCurve:
     # arithmetic rounds differently, and the trace must equal gamma pointwise
     pts = tuple(BoundaryPoint(th, spec.push(vt), "arc" if arc else "cap")
                 for th, arc, vt in zip(thetas, full.tolist(), v.tolist()))
-    return BoundaryCurve(points=pts, closed=True)
+    return BoundaryCurve(points=pts)
 
 
 def denormalize(curve: BoundaryCurve, phi: float, xi: float) -> BoundaryCurve:
     """Rotate a normalized-frame curve back to original coordinates."""
     rot = cmath.exp(-1j * (3.0 * phi - xi))
     pts = tuple(BoundaryPoint(p.theta, rot * p.value, p.branch) for p in curve.points)
-    return BoundaryCurve(points=pts, closed=curve.closed)
+    return BoundaryCurve(points=pts)
 
 
 def contains(spec: RegionSpec, w, slack: float = 1e-7, ngrid: int = 720):

@@ -9,7 +9,6 @@ significant digits so re-parsing is bit-exact.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import sys
@@ -94,7 +93,7 @@ def _cmd_disk(args) -> int:
         elif args.w1 is not None:
             w2 = parse_complex(args.w2) if args.w2 is not None else None
             lam = dd.lambda_from_w1(z0, w0, parse_complex(args.w1))
-            if abs(lam) < 1.0 - dd.CASE1_TOL and w2 is None:
+            if dd.case(lam) != 1 and w2 is None:
                 raise _UsageError("order 3 needs --w2 (or --lambda/--mu) when |lambda| < 1")
             data = dd.InterpolationData(z0, w0, parse_complex(args.w1), w2)
             disk = dd.disk_order3(data)
@@ -172,7 +171,7 @@ def _cmd_boundary(args) -> int:
     w1 = parse_complex(args.w1)
     data = dd.InterpolationData(z0, w0, w1)
     cfg = dd.normalize(data)
-    if abs(cfg.lam) >= 1.0 - dd.CASE1_TOL:
+    if dd.case(cfg.lam) == 1:
         raise InfeasibleConstraintError(
             "|lambda| = 1: third derivative is the single forced value of the "
             "degenerate case (1); no boundary curve exists")
@@ -199,26 +198,16 @@ def _cmd_extremal(args) -> int:
     theta = args.theta
     if not math.isfinite(theta):
         raise _UsageError("--theta must be finite")
-    r, s = abs(z0), abs(w0)
-    phi = cmath.phase(z0)
-    xi = cmath.phase(w0) if w0 != 0 else 0.0
-    # inputs are original-frame disk parameters; rotate into the reduced frame
-    lam_n = cmath.exp(-1j * xi) * lam
-    mu_n = None if mu is None else cmath.exp(1j * (phi - xi)) * mu
-    cfg = dd.NormalizedConfig(r=r, s=s, lam=lam_n, mu=mu_n, phi=phi, xi=xi)
-    if abs(lam_n) >= 1.0 - dd.CASE1_TOL:
-        depth = 1
-    elif mu_n is None:
+    cfg = dd.NormalizedConfig.from_params(z0, w0, lam, mu)
+    depth = dd.case(cfg.lam, cfg.mu)
+    if depth > 1 and mu is None:
         raise _UsageError("--mu required when |lambda| < 1")
-    elif abs(mu_n) >= 1.0 - dd.CASE1_TOL:
-        depth = 2
-    else:
-        depth = 3
     spec = dd.extremal_spec(cfg, depth, theta)
     jet = dd.eval_extremal(spec)
-    disk = dd.disk_order3_params(z0, w0, lam, mu if depth > 1 else None)
+    # the disk in the reduced frame, where the case was decided, rotated back
+    disk = dd.disk_order3_params(complex(cfg.r), complex(cfg.s), cfg.lam, cfg.mu)
     w3 = 6.0 * jet.a3
-    check = abs(abs(w3 - disk.center) - disk.radius)
+    check = abs(abs(w3 - disk.center / cfg.rotation(3)) - disk.radius)
     payload = {
         "depth": depth,
         "theta": float(fmt(theta)),

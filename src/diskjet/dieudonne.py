@@ -12,9 +12,13 @@ Conventions
 -----------
 * ``lambda`` parametrizes w1:  w1 = w0/z0 + (r^2-s^2)/(z0 (1-r^2)) * lambda.
 * ``mu`` parametrizes w2 once lambda is interior (see :func:`mu_from_w2`).
-* |lambda| = 1 forces both w2 and w3 (a unique degree-2 Blaschke-type
-  extremal); |lambda| < 1 = |mu| forces w3; otherwise w3 fills a disk of
-  positive radius.
+* The third-order lemma has three cases: (1) |lambda| = 1 forces both w2
+  and w3 (a unique degree-2 Blaschke-type extremal); (2) |lambda| < 1 = |mu|
+  forces w3; (3) otherwise w3 fills a disk of positive radius.  A modulus
+  within CASE1_TOL of 1 counts as 1.  :func:`case` applies this rule, and
+  every caller in the package that branches on the case asks it.
+* The order-k radius factor k! (r^2 - s^2) / (r^k (1 - r^2)^k) is
+  computed once, by :func:`_scale`.
 
 The first-derivative radius is (r^2 - s^2)/(r (1 - r^2)).  (The variant
 with 1 - s^2 in the denominator that sometimes appears in print is too
@@ -38,8 +42,22 @@ from .jets import Jet3, moebius_jet
 FEAS_TOL = 1e-9
 
 #: |lambda| >= 1 - CASE1_TOL is dispatched to the degenerate case (1);
-#: same threshold for |mu| and case (2).
+#: same threshold for |mu| and case (2).  Only :func:`case` reads it.
 CASE1_TOL = 1e-12
+
+
+def case(lam: complex, mu: Optional[complex] = None) -> int:
+    """Case of the third-order lemma that (lambda, mu) falls in: 1, 2 or 3.
+
+    1 when |lambda| >= 1 - CASE1_TOL, else 2 when |mu| >= 1 - CASE1_TOL,
+    else 3.  Without mu only lambda is tested, so the answer is 1 or 3.
+    """
+    rim = 1.0 - CASE1_TOL
+    if abs(lam) >= rim:
+        return 1
+    if mu is not None and abs(mu) >= rim:
+        return 2
+    return 3
 
 
 @dataclass(frozen=True)
@@ -75,8 +93,10 @@ class InterpolationData:
 class NormalizedConfig:
     """Reduced coordinates: z0 = r, w0 = s with rotation phases recorded.
 
-    ``lam``/``mu`` are the disk parameters recomputed in the rotated frame.
-    Regions in the original frame are the normalized regions multiplied by
+    ``lam``/``mu`` are the disk parameters recomputed in the rotated frame,
+    clamped onto the unit circle when they overshoot it by at most FEAS_TOL
+    (the rule of :func:`lambda_from_w1` and :func:`mu_from_w2`).  Regions in
+    the original frame are the normalized regions multiplied by
     ``exp(-i (k phi - xi))`` for the k-th derivative.
     """
 
@@ -90,10 +110,18 @@ class NormalizedConfig:
     def __post_init__(self):
         if not 0.0 <= self.s < self.r < 1.0:
             raise DomainError(f"need 0 <= s < r < 1, got s={self.s}, r={self.r}")
-        if abs(self.lam) > 1.0 + FEAS_TOL:
-            raise InfeasibleConstraintError(f"|lambda| = {abs(self.lam)} > 1")
-        if self.mu is not None and abs(self.mu) > 1.0 + FEAS_TOL:
-            raise InfeasibleConstraintError(f"|mu| = {abs(self.mu)} > 1")
+        object.__setattr__(self, "lam", _clamp_unit(self.lam, "lambda"))
+        if self.mu is not None:
+            object.__setattr__(self, "mu", _clamp_unit(self.mu, "mu"))
+
+    @classmethod
+    def from_params(cls, z0: complex, w0: complex, lam: complex,
+                    mu: Optional[complex] = None) -> "NormalizedConfig":
+        """Config of original-frame data: z0, w0 and the disk parameters there."""
+        phi, xi = _phases(z0, w0)
+        mu_n = None if mu is None else cmath.exp(1j * (phi - xi)) * mu
+        return cls(r=abs(z0), s=abs(w0), lam=cmath.exp(-1j * xi) * lam, mu=mu_n,
+                   phi=phi, xi=xi)
 
     def rotation(self, k: int) -> complex:
         """exp(i (k phi - xi)): multiplies the k-th derivative when normalizing."""
@@ -128,6 +156,20 @@ def _clamp_unit(v: complex, what: str) -> complex:
     raise InfeasibleConstraintError(f"|{what}| = {m} exceeds 1 beyond tolerance")
 
 
+def _phases(z0: complex, w0: complex) -> tuple[float, float]:
+    """(phi, xi) with z0 = r e^{i phi}, w0 = s e^{i xi}; xi = 0 when w0 = 0."""
+    return cmath.phase(z0), (cmath.phase(w0) if w0 != 0 else 0.0)
+
+
+def _scale(k: int, r: float, s: float) -> float:
+    """k! (r^2 - s^2) / (r^k (1 - r^2)^k), the order-k radius factor.
+
+    Factored as (r - s)(r + s) and (1 - r)(1 + r): both differences are
+    exact in floating point, so no digits are lost as s -> r or r -> 1.
+    """
+    return math.factorial(k) * (r - s) * (r + s) / (r * (1.0 - r) * (1.0 + r)) ** k
+
+
 def disk_order1(z0: complex, w0: complex) -> ClosedDisk:
     """Exact region of f'(z0) over self-maps with f(0)=0, f(z0)=w0."""
     r = abs(z0)
@@ -138,7 +180,7 @@ def disk_order1(z0: complex, w0: complex) -> ClosedDisk:
     s = abs(w0)
     if not s < r:
         raise InfeasibleConstraintError("need |w0| < |z0| (Schwarz)")
-    return ClosedDisk(w0 / z0, (r * r - s * s) / (r * (1.0 - r * r)))
+    return ClosedDisk(w0 / z0, _scale(1, r, s))
 
 
 def disk_order2(z0: complex, w0: complex, beta: complex) -> ClosedDisk:
@@ -150,7 +192,7 @@ def disk_order2(z0: complex, w0: complex, beta: complex) -> ClosedDisk:
     if not s < r < 1.0:
         raise InfeasibleConstraintError("need |w0| < |z0| < 1")
     beta = _clamp_unit(complex(beta), "beta")
-    scale = 2.0 * (r * r - s * s) / (r * r * (1.0 - r * r) ** 2)
+    scale = _scale(2, r, s)
     center = scale * (z0.conjugate() / z0) * beta * (1.0 - w0.conjugate() * beta)
     radius = scale * r * (1.0 - abs(beta) ** 2)
     return ClosedDisk(center, radius)
@@ -159,18 +201,17 @@ def disk_order2(z0: complex, w0: complex, beta: complex) -> ClosedDisk:
 def lambda_from_w1(z0: complex, w0: complex, w1: complex) -> complex:
     """Disk parameter of the first derivative; clamped to the closed disk."""
     r, s = abs(z0), abs(w0)
-    lam = (w1 - w0 / z0) * z0 * (1.0 - r * r) / (r * r - s * s)
+    lam = (w1 - w0 / z0) * (z0 / r) / _scale(1, r, s)
     return _clamp_unit(lam, "lambda")
 
 
 def mu_from_w2(z0: complex, w0: complex, w2: complex, lam: complex) -> complex:
     """Disk parameter of the second derivative given an interior lambda."""
     r, s = abs(z0), abs(w0)
-    if abs(lam) >= 1.0 - CASE1_TOL:
+    if case(lam) == 1:
         raise DegenerateCaseError(
             "|lambda| = 1: w2 is forced and mu is undefined (case 1)")
-    num = w2 * z0 * z0 * (1.0 - r * r) ** 2 / (2.0 * (r * r - s * s)) \
-        - lam * (1.0 - w0.conjugate() * lam)
+    num = w2 * (z0 / r) ** 2 / _scale(2, r, s) - lam * (1.0 - w0.conjugate() * lam)
     mu = num / (z0 * (1.0 - abs(lam) ** 2))
     return _clamp_unit(mu, "mu")
 
@@ -191,20 +232,21 @@ def disk_order3_params(z0: complex, w0: complex, lam: complex,
     if not s < r < 1.0:
         raise InfeasibleConstraintError("need |w0| < |z0| < 1")
     lam = _clamp_unit(complex(lam), "lambda")
-    scale = 6.0 * (r * r - s * s) / (z0 ** 3 * (1.0 - r * r) ** 3)
-    if abs(lam) >= 1.0 - CASE1_TOL:
-        return ClosedDisk(scale * _curly_b(w0, r, lam), 0.0)
+    k = case(lam, mu)
+    scale = _scale(3, r, s)
+    rot = (r / z0) ** 3  # unimodular
+    if k == 1:
+        return ClosedDisk(scale * rot * _curly_b(w0, r, lam), 0.0)
     if mu is None:
         raise DomainError("mu required when |lambda| < 1")
     mu = _clamp_unit(complex(mu), "mu")
     gap_l = 1.0 - abs(lam) ** 2
-    center = scale * (
+    center = scale * rot * (
         _curly_b(w0, r, lam)
         + z0 * mu * gap_l * (1.0 + r * r - 2.0 * w0.conjugate() * lam - z0 * lam.conjugate() * mu))
-    if abs(mu) >= 1.0 - CASE1_TOL:
+    if k == 2:
         return ClosedDisk(center, 0.0)
-    radius = 6.0 * (r * r - s * s) / (r * (1.0 - r * r) ** 3) * gap_l * (1.0 - abs(mu) ** 2)
-    return ClosedDisk(center, radius)
+    return ClosedDisk(center, scale * r * r * gap_l * (1.0 - abs(mu) ** 2))
 
 
 def disk_order3(data: InterpolationData) -> ClosedDisk:
@@ -213,28 +255,12 @@ def disk_order3(data: InterpolationData) -> ClosedDisk:
     if data.w1 is None:
         raise DomainError("w1 required for the order-3 disk")
     lam = lambda_from_w1(data.z0, data.w0, data.w1)
-    if abs(lam) >= 1.0 - CASE1_TOL:
+    if case(lam) == 1:
         return disk_order3_params(data.z0, data.w0, lam)
     if data.w2 is None:
         raise DomainError("w2 required for the order-3 disk when |lambda| < 1")
     mu = mu_from_w2(data.z0, data.w0, data.w2, lam)
     return disk_order3_params(data.z0, data.w0, lam, mu)
-
-
-def normalized_disk(r: float, s: float, lam: complex,
-                    mu: Optional[complex] = None) -> ClosedDisk:
-    """Order-3 disk in the real normalized frame (z0 = r, w0 = s)."""
-    return disk_order3_params(complex(r), complex(s), lam, mu)
-
-
-def coeff_a(r: float, s: float) -> float:
-    """Scale constant 6 (r^2 - s^2) / (r^3 (1 - r^2)^3) of the normalized frame."""
-    return 6.0 * (r * r - s * s) / (r ** 3 * (1.0 - r * r) ** 3)
-
-
-def coeff_b(r: float, s: float, lam: complex) -> complex:
-    """Cubic s^2 lam^3 - s (1 + r^2) lam^2 + r^2 lam of the normalized frame."""
-    return s * s * lam ** 3 - s * (1.0 + r * r) * lam ** 2 + r * r * lam
 
 
 def normalize(data: InterpolationData) -> NormalizedConfig:
@@ -247,12 +273,11 @@ def normalize(data: InterpolationData) -> NormalizedConfig:
     if data.w1 is None:
         raise DomainError("w1 required to extract lambda")
     r, s = data.r, data.s
-    phi = cmath.phase(data.z0)
-    xi = cmath.phase(data.w0) if data.w0 != 0 else 0.0
+    phi, xi = _phases(data.z0, data.w0)
     w1_n = cmath.exp(1j * (phi - xi)) * data.w1
     lam_n = lambda_from_w1(complex(r), complex(s), w1_n)
     mu_n: Optional[complex] = None
-    if data.w2 is not None and abs(lam_n) < 1.0 - CASE1_TOL:
+    if data.w2 is not None and case(lam_n) != 1:
         w2_n = cmath.exp(1j * (2.0 * phi - xi)) * data.w2
         mu_n = mu_from_w2(complex(r), complex(s), w2_n, lam_n)
     return NormalizedConfig(r=r, s=s, lam=lam_n, mu=mu_n, phi=phi, xi=xi)
@@ -261,10 +286,16 @@ def normalize(data: InterpolationData) -> NormalizedConfig:
 def extremal_spec(config: NormalizedConfig, depth: int, theta: float = 0.0) -> ExtremalSpec:
     """Extremal map of the stated nesting depth for the configuration.
 
-    Depth 1 needs |lambda| = 1; depth 2 needs |lambda| < 1 = |mu|;
-    depth 3 needs both interior.  The returned spec lives in the original
-    (rotated) frame of the configuration.
+    The depth must be the case of (lambda, mu) (see :func:`case`): depth 1
+    needs |lambda| = 1, depth 2 |lambda| < 1 = |mu|, depth 3 both interior.
+    The returned spec lives in the original (rotated) frame of the
+    configuration.
     """
+    if depth > 1 and config.mu is None:
+        raise DomainError("mu required for depths 2 and 3")
+    k = case(config.lam, config.mu)
+    if depth != k:
+        raise DomainError(f"depth {depth} requested, but (lambda, mu) is in case {k}")
     r, s = config.r, config.s
     z0 = r * cmath.exp(1j * config.phi)
     w0 = s * cmath.exp(1j * config.xi)
@@ -273,34 +304,17 @@ def extremal_spec(config: NormalizedConfig, depth: int, theta: float = 0.0) -> E
     lam_o = cmath.exp(1j * config.xi) * config.lam
     mu_o = None if config.mu is None else cmath.exp(1j * (config.xi - config.phi)) * config.mu
     frame = r * r / (z0 * z0)  # unimodular
-
-    if depth == 1:
-        if abs(config.lam) < 1.0 - CASE1_TOL:
-            raise DomainError("depth 1 requires |lambda| = 1")
-        return ExtremalSpec(z0=z0, u0=u0, depth=1, v0=frame * lam_o, theta=theta)
-
-    if abs(config.lam) >= 1.0 - CASE1_TOL:
-        raise DomainError("depths 2 and 3 require |lambda| < 1")
-    if mu_o is None:
-        raise DomainError("mu required for depths 2 and 3")
     v0 = frame * lam_o
-
+    if depth == 1:
+        return ExtremalSpec(z0=z0, u0=u0, depth=1, v0=v0, theta=theta)
     if depth == 2:
-        if abs(config.mu) < 1.0 - CASE1_TOL:
-            raise DomainError("depth 2 requires |mu| = 1")
         tau = z0.conjugate() * mu_o / z0
         return ExtremalSpec(z0=z0, u0=u0, depth=2, v0=v0, tau=tau, theta=theta)
-
-    if depth == 3:
-        if abs(config.mu) >= 1.0 - CASE1_TOL:
-            raise DomainError("depth 3 requires |mu| < 1")
-        eta = frame * mu_o
-        if abs(eta) >= 1.0:
-            # cannot happen for admissible mu; kept as a hard runtime guard
-            raise InfeasibleConstraintError(f"constructed |eta_ext| = {abs(eta)} >= 1")
-        return ExtremalSpec(z0=z0, u0=u0, depth=3, v0=v0, eta_ext=eta, theta=theta)
-
-    raise DomainError(f"depth must be 1, 2 or 3, got {depth}")
+    eta = frame * mu_o
+    if abs(eta) >= 1.0:
+        # cannot happen for admissible mu; kept as a hard runtime guard
+        raise InfeasibleConstraintError(f"constructed |eta_ext| = {abs(eta)} >= 1")
+    return ExtremalSpec(z0=z0, u0=u0, depth=3, v0=v0, eta_ext=eta, theta=theta)
 
 
 def eval_extremal(spec: ExtremalSpec, z: Optional[complex] = None) -> Jet3:
@@ -328,6 +342,6 @@ def sharp_bound_lambda1(r: float, s: float) -> tuple[float, float]:
     """
     if not 0.0 <= s < r < 1.0:
         raise DomainError("need 0 <= s < r < 1")
-    bound = coeff_a(r, s) * ((1.0 + r * r) * s + s * s + r * r)
+    bound = _scale(3, r, s) * ((1.0 + r * r) * s + s * s + r * r)
     a = (r * r + s) / (r * (1.0 + s))
     return bound, a

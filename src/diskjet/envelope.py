@@ -7,8 +7,8 @@ its boundary is traced by support points v_theta, one per direction
 theta, obtained either from an interior tangent disk (when the defining
 gap is negative) or from a degenerate point-circle on |zeta| = 1 (found
 by a monotone Newton solve).  ``support_arrays`` evaluates the whole
-construction for an array of directions with numpy; the scalar helpers
-are its length-1 case.
+construction for an array of directions with numpy; ``support_point`` is
+its length-1 case.
 
 Configs may be abstract: any t > |eta| is accepted, even pairs not
 realizable from admissible (r, s, lambda) data, so all three boundary
@@ -132,21 +132,6 @@ def support_arrays(cfg: EnvelopeConfig, thetas):
     # on the tangent-disk branch, add the radius of the member disk at zeta
     v = np.where(full, v + cfg.t * np.maximum(0.0, 1.0 - np.abs(zeta) ** 2) * w, v)
     return full, x, zeta, v
-
-
-def solve_t_theta(cfg: EnvelopeConfig, theta: float) -> float:
-    """The radius parameter of the support construction.
-
-    When the gap at t is nonnegative, returns the unique x > |eta| with
-    |x e^{i theta} - conj(eta)| = 2 (x^2 - |eta|^2); otherwise returns t.
-    """
-    return support_point(cfg, theta).t_theta
-
-
-def zeta_theta(cfg: EnvelopeConfig, theta: float) -> complex:
-    """Family parameter of the support point; on the root branch it is
-    unimodular by construction."""
-    return support_point(cfg, theta).zeta_theta
 
 
 def support_point(cfg: EnvelopeConfig, theta: float) -> SupportPoint:

@@ -138,30 +138,6 @@ class Jet3(NamedTuple):
         return Jet3(*_jet_compose(self, inner))
 
 
-def jet_arith(op: str, x: Jet3, y: Jet3) -> Jet3:
-    """Dispatch form of the four jet operations: add, mul, div, compose."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    if op == "compose":
-        return x.compose(y)
-    raise ValueError(f"unknown jet operation {op!r}")
-
-
-@dataclass(frozen=True)
-class MoebiusParam:
-    """Parameter a of the disk automorphism T_a(z) = (z + a)/(1 + conj(a) z)."""
-
-    a: complex
-
-    def __post_init__(self):
-        if not abs(self.a) < 1.0:
-            raise DomainError(f"Moebius parameter must satisfy |a| < 1, got |a|={abs(self.a)}")
-
-
 @dataclass(frozen=True)
 class BlaschkeSpec:
     """Finite Blaschke product e^{i phase} prod (z - z_j)/(1 - conj(z_j) z)."""
@@ -180,12 +156,8 @@ class BlaschkeSpec:
         return len(self.zeros)
 
 
-def _param(a) -> complex:
-    return a.a if isinstance(a, MoebiusParam) else complex(a)
-
-
 def moebius_value(a, z: complex) -> complex:
-    a, z = _param(a), complex(z)
+    a, z = complex(a), complex(z)
     return (z + a) / (1.0 + a.conjugate() * z)
 
 
@@ -195,7 +167,7 @@ def moebius_jet(a, z: Jet3) -> Jet3:
     Raises DomainError when the denominator 1 + conj(a) z vanishes at the
     base point (pole crossing).
     """
-    av = _param(a)
+    av = complex(a)
     ac = av.conjugate()
     if abs(1.0 + ac * z.a0) == 0.0:
         raise DomainError("Moebius denominator vanishes at the base point")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import dieudonne
 from .common import InfeasibleConstraintError
-from .dieudonne import CASE1_TOL, disk_order3_params, lambda_from_w1, mu_from_w2
+from .dieudonne import InterpolationData, disk_order3, disk_order3_params
 from .jets import BlaschkeSpec, Jet3, blaschke_jet, blaschke_value
 
 
@@ -148,12 +148,7 @@ def membership_audit(n_samples: int, max_degree: int = 6, seed: int = 1) -> Veri
         w0, w1 = fj.a0, fj.a1
         w2, w3 = 2.0 * fj.a2, 6.0 * fj.a3
         try:
-            lam = lambda_from_w1(z0, w0, w1)
-            if abs(lam) >= 1.0 - CASE1_TOL:
-                disk = disk_order3_params(z0, w0, lam)
-            else:
-                mu = mu_from_w2(z0, w0, w2, lam)
-                disk = disk_order3_params(z0, w0, lam, mu)
+            disk = disk_order3(InterpolationData(z0, w0, w1, w2))
         except InfeasibleConstraintError:
             report.anomalies += 1
             continue

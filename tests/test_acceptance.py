@@ -10,14 +10,14 @@ import time
 
 import pytest
 
-from diskjet import (blaschke_jet, disk_order1, disk_order2, eval_extremal,
-                     extremal_spec, gamma, membership_audit,
+from diskjet import (blaschke_jet, disk_order1, disk_order2, disk_order3_params,
+                     eval_extremal, extremal_spec, gamma, membership_audit,
                      peschl_derivatives, region_spec, sample_boundary,
                      schur_residual, sharp_bound_lambda1)
 from diskjet.boundary import abstract_region, closed_form_cap, \
     closed_form_circle, contains
-from diskjet.dieudonne import NormalizedConfig, coeff_a, coeff_b
-from diskjet.envelope import _gap, circle_family, zeta_theta
+from diskjet.dieudonne import NormalizedConfig
+from diskjet.envelope import _gap, circle_family, support_point
 from diskjet.verify import extremal_attainment_audit, fd_audit, regime2_search
 
 from conftest import random_blaschke, random_disk_point, rng
@@ -86,7 +86,7 @@ def test_criterion_04_dual_path_boundary():
                 continue
             v1 = gamma(spec, th)
             v2 = closed_form_circle(spec, th) if g < 0 \
-                else closed_form_cap(spec, zeta_theta(spec.env, th))
+                else closed_form_cap(spec, support_point(spec.env, th).zeta_theta)
             worst = max(worst, abs(v1 - v2) / (1.0 + abs(v1)))
     ok = worst <= 1e-10
     report(4, "dual-path boundary", ok, f"max_rel_gap={worst:.3e}")
@@ -149,7 +149,7 @@ def test_criterion_09_sharp_bound():
         best, arg = 0.0, 0.0
         for k in range(512):
             alpha = -math.pi + 2.0 * math.pi * (k + 1) / 512.0
-            c = coeff_a(r, s) * abs(coeff_b(r, s, cmath.exp(1j * alpha)))
+            c = abs(disk_order3_params(complex(r), complex(s), cmath.exp(1j * alpha)).center)
             if c > best:
                 best, arg = c, alpha
         worst = max(worst, abs(best - bound))

@@ -10,7 +10,7 @@ from diskjet import (DomainError, InterpolationData, NormalizedConfig,
                      closed_form_circle, eval_extremal, extremal_spec, gamma,
                      normalize, region_spec, sample_boundary)
 from diskjet.boundary import contains, denormalize, gamma_point
-from diskjet.envelope import _gap, support_point, zeta_theta
+from diskjet.envelope import _gap, support_point
 
 from conftest import random_disk_point, rng
 
@@ -57,7 +57,7 @@ def test_envelope_constants_consistent():
 def test_dual_path_regime_i():
     for th in grid():
         v1 = gamma(SPEC_I, th)
-        v2 = closed_form_cap(SPEC_I, zeta_theta(SPEC_I.env, th))
+        v2 = closed_form_cap(SPEC_I, support_point(SPEC_I.env, th).zeta_theta)
         assert abs(v1 - v2) < 1e-10 * (1.0 + abs(v1))
 
 
@@ -75,7 +75,7 @@ def test_dual_path_regime_iii_both_branches():
             if _gap(spec.env, th) < -1e-9:
                 v2 = closed_form_circle(spec, th)
             elif _gap(spec.env, th) > 1e-9:
-                v2 = closed_form_cap(spec, zeta_theta(spec.env, th))
+                v2 = closed_form_cap(spec, support_point(spec.env, th).zeta_theta)
             else:
                 continue
             assert abs(v1 - v2) < 1e-10 * (1.0 + abs(v1))
@@ -207,7 +207,7 @@ def _attain(spec, cfg_rsl, th):
     """Boundary point of an admissible region via an extremal map jet."""
     r, s, lam = cfg_rsl
     bp = gamma_point(spec, th)
-    zt = zeta_theta(spec.env, th)
+    zt = support_point(spec.env, th).zeta_theta
     if bp.branch == "cap":
         cfg = NormalizedConfig(r=r, s=s, lam=lam, mu=zt / abs(zt))
         jet = eval_extremal(extremal_spec(cfg, 2))

@@ -235,18 +235,17 @@ def test_console_entry_point():
 PUBLIC_NAMES = [
     "BACKEND", "BlaschkeSpec", "BoundaryCurve", "BoundaryPoint", "ClosedDisk",
     "DegenerateCaseError", "DomainError", "EnvelopeConfig", "ExtremalSpec",
-    "InfeasibleConstraintError", "InterpolationData", "Jet3", "MoebiusParam",
-    "NormalizedConfig", "PeschlTriple", "RegionSpec", "SupportPoint",
-    "VerificationReport", "WrongRegimeError", "abstract_region", "blaschke_jet",
-    "blaschke_value", "boundary", "circle_family", "classify_regime", "closed_form_cap",
-    "closed_form_circle", "common", "contains", "critical_angles", "denormalize",
-    "dieudonne", "disk_order1", "disk_order2", "disk_order3", "disk_order3_params",
-    "envelope", "eval_extremal", "extremal_spec", "fd_audit", "fd_jet", "gamma",
-    "jet_arith", "jets", "lambda_from_w1", "membership_audit", "moebius_jet",
-    "moebius_value", "mu_from_w2", "normalize", "normalized_disk", "peschl",
-    "peschl_derivatives", "peschl_via_conjugation", "regime2_search", "region_spec",
-    "sample_boundary", "sample_self_map", "schur_residual", "sharp_bound_lambda1",
-    "solve_t_theta", "support_point", "verify", "zeta_theta",
+    "InfeasibleConstraintError", "InterpolationData", "Jet3", "NormalizedConfig",
+    "PeschlTriple", "RegionSpec", "SupportPoint", "VerificationReport",
+    "WrongRegimeError", "abstract_region", "blaschke_jet", "blaschke_value", "boundary",
+    "circle_family", "classify_regime", "closed_form_cap", "closed_form_circle", "common",
+    "contains", "critical_angles", "denormalize", "dieudonne", "disk_order1",
+    "disk_order2", "disk_order3", "disk_order3_params", "envelope", "eval_extremal",
+    "extremal_spec", "fd_audit", "fd_jet", "gamma", "jets", "lambda_from_w1",
+    "membership_audit", "moebius_jet", "moebius_value", "mu_from_w2", "normalize",
+    "peschl", "peschl_derivatives", "peschl_via_conjugation", "regime2_search",
+    "region_spec", "sample_boundary", "sample_self_map", "schur_residual",
+    "sharp_bound_lambda1", "support_point", "verify",
 ]
 
 IMPORT_GUARD = """
@@ -265,6 +264,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     assert diskjet.cli.main(["boundary", "--z0", "0.5", "--w0", "0.25", "--w1", "0.55",
                              "--n", "8"]) == 1
     assert diskjet.cli.main(["boundary", "--z0", "0.25", "--w0", "0.5", "--w1", "0.5"]) == 2
+    # w1 = 1 gives lambda = 1 exactly: case 1, no curve
+    assert diskjet.cli.main(["boundary", "--z0", "0.5", "--w0", "0.25", "--w1", "1"]) == 2
 assert not loaded("numpy"), "disk / extremal / rejected boundary loaded numpy"
 assert sorted(diskjet.__all__) == %r, sorted(diskjet.__all__)
 diskjet.contains

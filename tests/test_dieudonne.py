@@ -1,6 +1,7 @@
 """Variability disks, parameter extraction, normalization, extremals."""
 
 import cmath
+import json
 import math
 
 import pytest
@@ -9,9 +10,9 @@ from diskjet import (DegenerateCaseError, DomainError, InfeasibleConstraintError
                      InterpolationData, Jet3, NormalizedConfig, blaschke_jet,
                      disk_order1, disk_order2, disk_order3, disk_order3_params,
                      eval_extremal, extremal_spec, lambda_from_w1, mu_from_w2,
-                     moebius_value, normalize, normalized_disk,
-                     sharp_bound_lambda1)
-from diskjet.dieudonne import CASE1_TOL, coeff_a, coeff_b
+                     moebius_value, normalize, region_spec, sharp_bound_lambda1)
+from diskjet.cli import fmt, fmt_complex, main
+from diskjet.dieudonne import CASE1_TOL, case
 from diskjet.jets import BlaschkeSpec
 
 from conftest import random_disk_point, rng
@@ -144,7 +145,7 @@ def test_order3_lambda_zero_circle():
     # lambda = 0 centers every mu-disk so that the union boundary is the
     # exact circle of radius 6 (r^2 - s^2)(1 + r^2) / (r^2 (1 - r^2)^3)
     r, s = 0.5, 0.25
-    d = normalized_disk(r, s, 0.0, cmath.exp(0.9j))
+    d = disk_order3_params(complex(r), complex(s), 0.0, cmath.exp(0.9j))
     scale = 6.0 * (r * r - s * s) / (r ** 3 * (1.0 - r * r) ** 3)
     # |mu| = 1 value: center modulus r (1 + r^2) * scale / ... spelled out:
     expected = 6.0 * (r * r - s * s) * (1.0 + r * r) / (r * r * (1.0 - r * r) ** 3)
@@ -196,7 +197,7 @@ def test_normalize_equivariance():
         data = InterpolationData(z0, w0, w1_of(z0, w0, lam), w2_of(z0, w0, lam, mu))
         cfg = normalize(data)
         d_orig = disk_order3(data)
-        d_norm = normalized_disk(cfg.r, cfg.s, cfg.lam, cfg.mu)
+        d_norm = disk_order3_params(complex(cfg.r), complex(cfg.s), cfg.lam, cfg.mu)
         rot = cmath.exp(-1j * (3.0 * cfg.phi - cfg.xi))
         assert abs(d_orig.center - rot * d_norm.center) < 1e-11 * (1.0 + abs(d_norm.center))
         assert abs(d_orig.radius - d_norm.radius) < 1e-11 * (1.0 + d_norm.radius)
@@ -209,6 +210,10 @@ def test_normalized_config_validation():
         NormalizedConfig(r=0.5, s=0.2, lam=1.5 + 0j)
     cfg = NormalizedConfig(r=0.5, s=0.2, lam=0j, phi=0.4, xi=0.1)
     assert abs(cfg.rotation(3) - cmath.exp(1j * (1.2 - 0.1))) < 1e-15
+    # an overshoot within FEAS_TOL is clamped onto the circle, as in lambda_from_w1
+    cfg = NormalizedConfig(r=0.5, s=0.2, lam=(1.0 + 5e-10) * cmath.exp(0.7j),
+                           mu=(1.0 + 5e-10) * cmath.exp(-0.8j))
+    assert abs(cfg.lam) <= 1.0 and abs(cfg.mu) <= 1.0
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +224,7 @@ def _interp_checks(spec, z0, w0, lam, mu=None):
     assert abs(jet.a0 - w0) < 1e-12
     lam_back = lambda_from_w1(z0, jet.a0, jet.a1)
     assert abs(lam_back - lam) < 1e-10
-    if mu is not None and abs(lam) < 1.0 - CASE1_TOL:
+    if mu is not None and case(lam) != 1:
         mu_back = mu_from_w2(z0, jet.a0, 2.0 * jet.a2, lam_back)
         assert abs(mu_back - mu) < 1e-9
     return jet
@@ -231,7 +236,7 @@ def test_depth1_forced_value():
     cfg = NormalizedConfig(r=r, s=s, lam=lam)
     spec = extremal_spec(cfg, 1)
     jet = _interp_checks(spec, complex(r), complex(s), lam)
-    d = normalized_disk(r, s, lam)
+    d = disk_order3_params(complex(r), complex(s), lam)
     assert abs(6.0 * jet.a3 - d.center) < 1e-10 * (1.0 + abs(d.center))
 
 
@@ -240,7 +245,7 @@ def test_depth2_forced_value_and_interpolation():
     lam, mu = 0.2 - 0.3j, cmath.exp(-0.8j)
     cfg = NormalizedConfig(r=r, s=s, lam=lam, mu=mu)
     jet = _interp_checks(extremal_spec(cfg, 2), complex(r), complex(s), lam, mu)
-    d = normalized_disk(r, s, lam, mu)
+    d = disk_order3_params(complex(r), complex(s), lam, mu)
     assert abs(6.0 * jet.a3 - d.center) < 1e-9 * (1.0 + abs(d.center))
 
 
@@ -248,7 +253,7 @@ def test_depth3_boundary_attainment():
     r, s = 0.5, 0.25
     lam, mu = 0.3 + 0.2j, 0.4 - 0.3j
     cfg = NormalizedConfig(r=r, s=s, lam=lam, mu=mu)
-    d = normalized_disk(r, s, lam, mu)
+    d = disk_order3_params(complex(r), complex(s), lam, mu)
     for k in range(12):
         theta = 2.0 * math.pi * k / 12.0
         jet = _interp_checks(extremal_spec(cfg, 3, theta), complex(r), complex(s), lam, mu)
@@ -268,6 +273,134 @@ def test_depth3_rotated_frame():
     assert abs(jet.a1 - data.w1) < 1e-12
     assert abs(2.0 * jet.a2 - data.w2) < 1e-11
     assert abs(abs(6.0 * jet.a3 - d.center) - d.radius) < 1e-9 * (1.0 + d.radius)
+
+
+def test_overshoot_extremals_hit_forced_value(capsys):
+    # |lambda| or |mu| in (1, 1 + FEAS_TOL] is clamped before the extremal map
+    # is built, so the depth-1 and depth-2 maps still hit the forced w3
+    over = 1.0 + 5e-10
+    for r, s, lam, mu, depth in ((0.5, 0.25, over * cmath.exp(0.7j), None, 1),
+                                 (0.6, 0.3, 0.3 + 0.2j, over * cmath.exp(-0.8j), 2)):
+        d = disk_order3_params(complex(r), complex(s), lam, mu)
+        assert d.radius == 0.0
+        jet = eval_extremal(extremal_spec(NormalizedConfig(r=r, s=s, lam=lam, mu=mu), depth))
+        assert abs(6.0 * jet.a3 - d.center) < 1e-14 * (1.0 + abs(d.center))
+        argv = ["extremal", "--z0", fmt(r), "--w0", fmt(s), "--lambda", fmt_complex(lam)]
+        if mu is not None:
+            argv += ["--mu", fmt_complex(mu)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["depth"] == depth
+        assert payload["boundary_angle_check"] < 1e-14 * (1.0 + abs(d.center))
+
+
+def test_disks_accurate_at_edges():
+    # s -> r and r -> 1 cancel in r^2 - s^2 and 1 - r^2 unless factored;
+    # the reference evaluates the same float inputs in 50 digits
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    beta = lam = 0.3 + 0.2j
+    mu = 0.4 - 0.3j
+    for r, s in ((0.5, 0.5 * (1.0 - 1e-10)), (1.0 - 1e-8, 0.3)):
+        R, S = mp.mpf(r), mp.mpf(s)
+        B, L, M = mp.mpc(beta), mp.mpc(lam), mp.mpc(mu)
+        q, g = R * R - S * S, 1 - R * R
+        k2, k3 = 2 * q / (R * g) ** 2, 6 * q / (R * g) ** 3
+        gap_l = 1 - abs(L) ** 2
+        cubic = S * S * L ** 3 - S * (1 + R * R) * L ** 2 + R * R * L
+        want = [
+            (disk_order1(complex(r), complex(s)), S / R, q / (R * g)),
+            (disk_order2(complex(r), complex(s), beta),
+             k2 * B * (1 - S * B), k2 * R * (1 - abs(B) ** 2)),
+            (disk_order3_params(complex(r), complex(s), lam, mu),
+             k3 * (cubic + R * M * gap_l * (1 + R * R - 2 * S * L - R * mp.conj(L) * M)),
+             k3 * R * R * gap_l * (1 - abs(M) ** 2)),
+        ]
+        for disk, center, radius in want:
+            assert abs(mp.mpc(disk.center) - center) <= 1e-13 * abs(center)
+            assert abs(disk.radius - radius) <= 1e-13 * radius
+
+
+def _preimage(f, target, x0):
+    """A float x near x0 with f(x) == target exactly, or None."""
+    lo = hi = x0
+    for _ in range(64):
+        for x in (lo, hi):
+            if f(x) == target:
+                return x
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return None
+
+
+def _exact_inputs(extract, of, targets):
+    """A base point z0 = r (w0 = 0) and real inputs x, one per target, with
+    extract(z0, x) == target exactly; the search starts at x = of(z0, target)."""
+    for r in (k / 100.0 for k in range(30, 90)):
+        z0 = complex(r)
+        xs = [_preimage(lambda x: extract(z0, complex(x)), t, of(z0, t).real)
+              for t in targets]
+        if None not in xs:
+            return r, xs
+    raise AssertionError("no base point extracts the threshold values exactly")
+
+
+def _cli_depth(capsys, r, lam, mu):
+    assert main(["extremal", "--z0", fmt(r), "--w0", "0", "--lambda", fmt(lam),
+                 "--mu", fmt(mu)]) == 0
+    return json.loads(capsys.readouterr().out)["depth"]
+
+
+def _depths(r, lam, mu):
+    """The depths extremal_spec accepts."""
+    cfg = NormalizedConfig(r=r, s=0.0, lam=lam, mu=mu)
+    ok = set()
+    for depth in (1, 2, 3):
+        try:
+            extremal_spec(cfg, depth)
+        except DomainError:
+            continue
+        ok.add(depth)
+    return ok
+
+
+def test_case_threshold_shared_by_every_consumer(capsys):
+    # |lambda| (|mu|) = 1 - CASE1_TOL is case 1 (2); the next float below is
+    # case 3.  Every consumer must agree with dieudonne.case on both sides.
+    edge = 1.0 - CASE1_TOL
+    sides = (edge, math.nextafter(edge, 0.0))
+    r, w1s = _exact_inputs(lambda z0, w1: lambda_from_w1(z0, 0j, w1),
+                           lambda z0, lam: w1_of(z0, 0j, lam), sides)
+    z0 = complex(r)
+    for lam, w1 in zip(sides, w1s):
+        k = case(lam)
+        assert k == (1 if lam == edge else 3)
+        w2 = w2_of(z0, 0j, lam, 0j)
+        data = InterpolationData(z0, 0j, complex(w1), w2)
+        assert (disk_order3_params(z0, 0j, lam, 0j).radius == 0.0) == (k == 1)
+        assert (normalize(data).mu is None) == (k == 1)
+        try:
+            region_spec(r, 0.0, lam)
+            rejected = False
+        except DomainError:
+            rejected = True
+        assert rejected == (k == 1)
+        assert _depths(r, lam, 0j) == {k}
+        assert _cli_depth(capsys, r, lam, 0.0) == k
+        code = main(["boundary", "--z0", fmt(r), "--w0", "0", "--w1", fmt(w1), "--n", "16"])
+        capsys.readouterr()
+        assert code == (2 if k == 1 else 0)
+        # the dispatch of the membership audit
+        assert (disk_order3(data).radius == 0.0) == (k == 1)
+    r, w2s = _exact_inputs(lambda z0, w2: mu_from_w2(z0, 0j, w2, 0j),
+                           lambda z0, mu: w2_of(z0, 0j, 0j, mu), sides)
+    z0 = complex(r)
+    for mu, w2 in zip(sides, w2s):
+        k = case(0j, mu)
+        assert k == (2 if mu == edge else 3)
+        assert (disk_order3_params(z0, 0j, 0j, mu).radius == 0.0) == (k == 2)
+        assert _depths(r, 0j, mu) == {k}
+        assert _cli_depth(capsys, r, 0.0, mu) == k
+        assert (disk_order3(InterpolationData(z0, 0j, 0j, complex(w2))).radius == 0.0) == (k == 2)
 
 
 def test_extremal_spec_depth_errors():
@@ -305,7 +438,7 @@ def test_sharp_bound_formula_and_attainment():
         grid_max, arg = 0.0, 0.0
         for k in range(512):
             alpha = -math.pi + 2.0 * math.pi * (k + 1) / 512.0
-            c = coeff_a(r, s) * abs(coeff_b(r, s, cmath.exp(1j * alpha)))
+            c = abs(disk_order3_params(complex(r), complex(s), cmath.exp(1j * alpha)).center)
             if c > grid_max:
                 grid_max, arg = c, alpha
         assert abs(grid_max - bound) < 1e-9 * bound

@@ -7,7 +7,7 @@ import pytest
 
 from diskjet import (ClosedDisk, DomainError, EnvelopeConfig, WrongRegimeError,
                      circle_family, classify_regime, critical_angles,
-                     solve_t_theta, support_point, zeta_theta)
+                     support_point)
 from diskjet.envelope import BRANCH_TOL, _gap, _wrap, support_arrays
 
 from conftest import random_disk_point, rng
@@ -60,7 +60,8 @@ def test_root_branch_residual_and_unimodularity():
             gap = _gap(cfg, th)
             if gap < -BRANCH_TOL:
                 continue
-            tt = solve_t_theta(cfg, th)
+            sp = support_point(cfg, th)
+            tt = sp.t_theta
             ae = abs(cfg.eta)
             assert tt > ae
             res = abs(tt * cmath.exp(1j * th) - cfg.eta.conjugate()) \
@@ -69,7 +70,7 @@ def test_root_branch_residual_and_unimodularity():
             # inside the tolerance band the root has collapsed onto |eta| and
             # zeta is not unimodular
             if gap >= 0.0:
-                assert abs(abs(zeta_theta(cfg, th)) - 1.0) < 1e-12
+                assert abs(abs(sp.zeta_theta) - 1.0) < 1e-12
 
 
 def _bisection_root(cfg, th):
@@ -98,7 +99,7 @@ def test_newton_root_matches_bisection_reference():
 def test_strict_branch_returns_t():
     for th in grid(73):
         if _gap(CFG_II, th) < -1e-6:
-            assert solve_t_theta(CFG_II, th) == CFG_II.t
+            assert support_point(CFG_II, th).t_theta == CFG_II.t
 
 
 def test_support_property():
@@ -147,8 +148,8 @@ def test_eta_zero_root_collapses_to_half():
     # zeta = e^{i theta}, v = zeta, the boundary is the unit circle
     cfg = EnvelopeConfig(t=0.3, eta=0j)
     for th in grid(17):
-        assert abs(solve_t_theta(cfg, th) - 0.5) < 1e-12
         sp = support_point(cfg, th)
+        assert abs(sp.t_theta - 0.5) < 1e-12
         assert abs(sp.v_theta - cmath.exp(1j * th)) < 1e-12
 
 

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskjet import (BACKEND, BlaschkeSpec, DomainError, Jet3, MoebiusParam,
-                     blaschke_jet, blaschke_value, jet_arith, moebius_jet,
-                     moebius_value)
+from diskjet import (BACKEND, BlaschkeSpec, DomainError, Jet3, blaschke_jet,
+                     blaschke_value, moebius_jet)
 from diskjet.verify import fd_jet
 
 from conftest import random_blaschke, random_jet, rng
@@ -94,17 +93,6 @@ def test_compose_chain_rule():
     assert jets_close(outer.compose(inner), direct)
 
 
-def test_jet_arith_dispatch():
-    gen = rng(5)
-    a, b = random_jet(gen), random_jet(gen)
-    assert jet_arith("add", a, b) == a + b
-    assert jet_arith("mul", a, b) == a * b
-    assert jet_arith("div", a, b) == a / b
-    assert jet_arith("compose", a, b) == a.compose(b)
-    with pytest.raises(ValueError):
-        jet_arith("pow", a, b)
-
-
 def moebius_jet_oracle(a, z0):
     """Symbolic derivatives of T_a at a scalar point."""
     ac = a.conjugate()
@@ -118,15 +106,6 @@ def test_moebius_jet_symbolic():
     z0 = 0.2 - 0.5j
     got = moebius_jet(a, Jet3.identity(z0))
     assert jets_close(got, moebius_jet_oracle(a, z0), 1e-14)
-
-
-def test_moebius_param_wrapper():
-    a = MoebiusParam(0.3 - 0.2j)
-    z0 = 0.1 + 0.1j
-    assert moebius_value(a, z0) == moebius_value(0.3 - 0.2j, z0)
-    assert moebius_jet(a, Jet3.identity(z0)) == moebius_jet(0.3 - 0.2j, Jet3.identity(z0))
-    with pytest.raises(DomainError):
-        MoebiusParam(1.0 + 0j)
 
 
 def test_moebius_inverse_composition():

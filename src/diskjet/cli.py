@@ -24,8 +24,9 @@ EXIT_VERIFY = 3
 
 #: largest ``boundary --n``: the trace holds O(n) arrays and points in memory
 BOUNDARY_MAX_N = 100_000
-#: largest ``verify --n`` as a sample count (membership, fd, all): the audits
-#: take 0.1-0.2 ms per sample, so a run at the cap ends within minutes
+#: largest ``verify --n`` as a sample count (membership, fd, all) or extremal
+#: grid size: the audits take 0.1-0.2 ms per sample, so a run at the cap ends
+#: within minutes
 VERIFY_MAX_SAMPLES = 1_000_000
 #: largest ``verify --suite regime2 --n``, the per-axis grid density: the
 #: search visits n^3 points, about 20 s at the cap
@@ -81,7 +82,7 @@ def _cmd_disk(args) -> int:
         if args.beta is not None:
             beta = parse_complex(args.beta)
         elif args.w1 is not None:
-            beta = dd.lambda_from_w1(z0, w0, parse_complex(args.w1))
+            beta = dd.InterpolationData(z0, w0, parse_complex(args.w1)).lam
         else:
             raise _UsageError("order 2 needs --beta or --w1")
         disk = dd.disk_order2(z0, w0, beta)
@@ -92,10 +93,9 @@ def _cmd_disk(args) -> int:
             disk = dd.disk_order3_params(z0, w0, lam, mu)
         elif args.w1 is not None:
             w2 = parse_complex(args.w2) if args.w2 is not None else None
-            lam = dd.lambda_from_w1(z0, w0, parse_complex(args.w1))
-            if dd.case(lam) != 1 and w2 is None:
-                raise _UsageError("order 3 needs --w2 (or --lambda/--mu) when |lambda| < 1")
             data = dd.InterpolationData(z0, w0, parse_complex(args.w1), w2)
+            if dd.case(data.lam) != 1 and w2 is None:
+                raise _UsageError("order 3 needs --w2 (or --lambda/--mu) when |lambda| < 1")
             disk = dd.disk_order3(data)
         else:
             raise _UsageError("order 3 needs --w1/--w2 or --lambda/--mu")
@@ -276,12 +276,12 @@ def build_parser() -> _Parser:
     e.set_defaults(func=_cmd_extremal)
 
     v = sub.add_parser("verify", help="run verification suites")
-    v.add_argument("--suite", choices=("membership", "fd", "regime2", "all"),
-                   default="all")
+    v.add_argument("--suite", choices=("membership", "fd", "regime2", "extremal", "all"),
+                   default="all", help="audit to run; all = membership, fd and regime2")
     v.add_argument("--n", type=int, default=1000,
-                   help=f"samples, 1 to {VERIFY_MAX_SAMPLES} (membership/fd/all), or "
-                        f"per-axis grid density, 1 to {VERIFY_MAX_GRID} (regime2); "
-                        "default 1000")
+                   help=f"samples, 1 to {VERIFY_MAX_SAMPLES} (membership/fd/all), grid size, "
+                        f"1 to {VERIFY_MAX_SAMPLES} (extremal), or per-axis grid density, "
+                        f"1 to {VERIFY_MAX_GRID} (regime2); default 1000")
     v.add_argument("--seed", type=int, default=1)
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)

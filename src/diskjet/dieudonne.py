@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .common import ClosedDisk, DegenerateCaseError, DomainError, InfeasibleConstraintError
@@ -62,12 +62,17 @@ def case(lam: complex, mu: Optional[complex] = None) -> int:
 
 @dataclass(frozen=True)
 class InterpolationData:
-    """Base point, value, and optional derivative constraints."""
+    """Base point, value, and optional derivative constraints.
+
+    ``lam`` is the disk parameter of w1 (None without w1), extracted once
+    while validating w1 and reused by :func:`disk_order3`.
+    """
 
     z0: complex
     w0: complex
     w1: Optional[complex] = None
     w2: Optional[complex] = None
+    lam: Optional[complex] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = abs(self.z0)
@@ -76,9 +81,9 @@ class InterpolationData:
         if not abs(self.w0) < r:
             raise InfeasibleConstraintError(
                 f"need |w0| < |z0| (Schwarz), got |w0| = {abs(self.w0)}, |z0| = {r}")
-        if self.w1 is not None:
-            # feasibility of w1 == |lambda| <= 1 (+ tolerance)
-            lambda_from_w1(self.z0, self.w0, self.w1)
+        # feasibility of w1 == |lambda| <= 1 (+ tolerance)
+        lam = None if self.w1 is None else lambda_from_w1(self.z0, self.w0, self.w1)
+        object.__setattr__(self, "lam", lam)
 
     @property
     def r(self) -> float:
@@ -254,7 +259,7 @@ def disk_order3(data: InterpolationData) -> ClosedDisk:
     lambda is unimodular, w2)."""
     if data.w1 is None:
         raise DomainError("w1 required for the order-3 disk")
-    lam = lambda_from_w1(data.z0, data.w0, data.w1)
+    lam = data.lam
     if case(lam) == 1:
         return disk_order3_params(data.z0, data.w0, lam)
     if data.w2 is None:

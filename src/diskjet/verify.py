@@ -5,14 +5,27 @@ random Blaschke self-maps through the jet engine and compares the actual
 third derivative against the predicted disk; the derivative audit
 compares jets against a pointwise-evaluation circle stencil; the regime
 search scans the admissible parameter box for the (analytically
-impossible) full-circle regime.
+impossible) full-circle regime; the extremal audit checks that the
+depth-3 extremal maps land on the predicted circle.
 
 Determinism: every sample draws from a generator seeded by (seed, index),
-so reports are reproducible regardless of evaluation order.
+so reports are reproducible regardless of evaluation order.  The samplers
+take one ``integers`` draw for the degree and then all their doubles from
+one ``random`` block, which yields exactly the doubles, in the same order,
+that per-quantity ``uniform`` calls would.
+
+Batching: the derivative audit draws and expands each sample on its own,
+then evaluates the circle stencil for FD_BLOCK samples at once with numpy
+(one ``(block, points)`` array, one FFT); the regime search evaluates
+``(s, |lambda|, phase)`` arrays of one r and REGIME2_ROWS values of s.
+Both give the bits of their per-sample loops.  The membership audit
+stays a loop of scalar public calls, because a call-by-call replay of it
+must reproduce its ``max_violation`` bit for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import time
@@ -72,6 +85,8 @@ def merge_reports(reports, suite: str = "all") -> VerificationReport:
 
 #: zeros kept off the unit circle to avoid conditioning cliffs
 ZERO_RADIUS_CAP = 0.95
+#: scale of a uniform angle draw: numpy's uniform(0, 2 pi) is 2 pi * u
+TWO_PI = 2.0 * math.pi
 
 
 def sample_self_map(rng: np.random.Generator, max_degree: int,
@@ -81,17 +96,18 @@ def sample_self_map(rng: np.random.Generator, max_degree: int,
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     degree = int(rng.integers(min_degree, max_degree + 1))
-    phase = float(rng.uniform(0.0, 2.0 * math.pi))
-    radii = ZERO_RADIUS_CAP * np.sqrt(rng.uniform(0.0, 1.0, degree))
-    angles = rng.uniform(0.0, 2.0 * math.pi, degree)
-    zeros = tuple(radii * np.exp(1j * angles))
-    return BlaschkeSpec(phase=phase, zeros=zeros)
+    # phase, then the radius draws, then the angle draws
+    u = rng.random(1 + 2 * degree).tolist()
+    zeros = tuple(cmath.rect(ZERO_RADIUS_CAP * math.sqrt(u[1 + j]), TWO_PI * u[1 + degree + j])
+                  for j in range(degree))
+    return BlaschkeSpec(phase=TWO_PI * u[0], zeros=zeros)
 
 
 def sample_base_point(rng: np.random.Generator, lo: float = 0.1, hi: float = 0.9) -> complex:
     """|z0| uniform in [lo, hi]; extremes excluded to separate algorithmic
     failures from floating-point conditioning."""
-    return complex(float(rng.uniform(lo, hi)) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+    u_mod, u_arg = rng.random(2).tolist()
+    return cmath.rect(lo + (hi - lo) * u_mod, TWO_PI * u_arg)
 
 
 def _sub_rng(seed: int, index: int) -> np.random.Generator:
@@ -162,30 +178,105 @@ def membership_audit(n_samples: int, max_degree: int = 6, seed: int = 1) -> Veri
     return report
 
 
+def _fd_draw(seed: int, index: int, max_degree: int, z0_hi: float):
+    """Sample (B, a, z0) of fd_audit: a Blaschke product, a Moebius
+    parameter with |a| uniform in [0, 0.5), and a base point."""
+    rng = _sub_rng(seed, index)
+    spec = sample_self_map(rng, max_degree, min_degree=1)
+    u_mod, u_arg = rng.random(2).tolist()
+    a = 0.5 * cmath.rect(u_mod, TWO_PI * u_arg)
+    return spec, a, sample_base_point(rng, 0.1, z0_hi)
+
+
+def _quot(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) on float arrays for br != 0, rounded as
+    Python's complex division rounds when |br| >= |bi|.  That holds for a
+    denominator 1 + c w with |c w| <= 1/2, as in fd_audit's default range:
+    zeros below 0.95 and stencil points within 0.525 of 0, or |a| < 1/2
+    and |B| <= 1."""
+    ratio = bi / br
+    denom = br + bi * ratio
+    return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+
+
+def _fd_block(draws, npoints: int = 16) -> np.ndarray:
+    """fd_jet of z -> T_a(B(z)) at z0 for each (B, a, z0) in draws.
+
+    One ``(len(draws), npoints)`` array of real and one of imaginary parts
+    hold every stencil value; each Blaschke factor is applied to the rows
+    whose degree exceeds its slot.  The products and quotients spell out
+    the operations of Python's complex arithmetic in blaschke_value and
+    moebius_value, so in fd_audit's default range each row has the bits of
+    the scalar ``fd_jet`` of the same draw, whatever block it sits in.
+    Row i of the result is (a0, a1, a2, a3) of draw i.
+    """
+    specs, a, z0 = zip(*draws)
+    # Python's abs, as in fd_jet: numpy's complex abs can round differently
+    radius = np.array([0.05 * (1.0 - abs(z)) for z in z0])
+    z0 = np.array(z0)
+    z = z0[:, None] + radius[:, None] * np.exp(2j * np.pi * np.arange(npoints) / npoints)
+    zr, zi = z.real, z.imag
+    degree = np.array([b.degree for b in specs])
+    zeros = np.zeros((len(specs), int(degree.max())), dtype=complex)
+    for i, b in enumerate(specs):
+        zeros[i, :b.degree] = b.zeros
+    unit = np.array([cmath.exp(1j * b.phase) for b in specs])[:, None]
+    vr = np.broadcast_to(unit.real, z.shape)
+    vi = np.broadcast_to(unit.imag, z.shape)
+    for j in range(zeros.shape[1]):
+        cr, ci = zeros[:, j, None].real, zeros[:, j, None].imag
+        # (z - c) / (1 - conj(c) z), then acc *= that
+        qr, qi = _quot(zr - cr, zi - ci, 1.0 - (cr * zr + ci * zi), ci * zr - cr * zi)
+        live = (degree > j)[:, None]
+        vr, vi = np.where(live, vr * qr - vi * qi, vr), np.where(live, vr * qi + vi * qr, vi)
+    a = np.array(a)[:, None]
+    ar, ai = a.real, a.imag
+    # (v + a) / (1 + conj(a) v)
+    vr, vi = _quot(vr + ar, vi + ai, 1.0 + (ar * vr + ai * vi), ar * vi - ai * vr)
+    coef = np.fft.fft(vr + 1j * vi, axis=1)[:, :4] / npoints
+    # fd_jet's radius ** k is C pow; numpy's power can round differently
+    rk = np.array([[h ** k for k in range(4)] for h in radius.tolist()])
+    return coef.real / rk + 1j * (coef.imag / rk)
+
+
+#: samples per stencil block in fd_audit: bounds the temporaries to about
+#: 300 kB whatever the sample count
+FD_BLOCK = 128
+
+
 def fd_audit(n_samples: int, seed: int = 1, max_degree: int = 4,
              z0_hi: float = 0.5) -> VerificationReport:
     """Jet derivatives vs pointwise circle-stencil derivatives.
 
     max_violation is the largest relative error over a1, a2, a3 on random
-    Moebius-of-Blaschke compositions.
+    Moebius-of-Blaschke compositions.  The jets come from the scalar jet
+    engine, sample by sample; the stencils are evaluated FD_BLOCK samples
+    at a time.
     """
-    from .jets import moebius_jet, moebius_value
+    from .jets import moebius_jet
 
     t0 = time.perf_counter()
     report = VerificationReport(suite="fd", samples=n_samples, seed=seed)
-    for i in range(n_samples):
-        rng = _sub_rng(seed, i)
-        spec = sample_self_map(rng, max_degree, min_degree=1)
-        a = 0.5 * (rng.uniform() * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
-        z0 = sample_base_point(rng, 0.1, z0_hi)
-        jet = moebius_jet(a, blaschke_jet(spec, z0))
-        num = fd_jet(lambda z: moebius_value(a, blaschke_value(spec, z)), z0)
-        rel = max(abs(jet[k] - num[k]) / max(abs(jet[k]), 1e-300) for k in (1, 2, 3))
-        if rel > report.max_violation:
-            report.max_violation = rel
-            report.worst_case = {"index": i, "z0": str(z0), "degree": spec.degree}
+    for start in range(0, n_samples, FD_BLOCK):
+        draws = [_fd_draw(seed, i, max_degree, z0_hi)
+                 for i in range(start, min(start + FD_BLOCK, n_samples))]
+        for i, ((spec, a, z0), num) in enumerate(zip(draws, _fd_block(draws).tolist()), start):
+            jet = moebius_jet(a, blaschke_jet(spec, z0))
+            rel = max(abs(jet[k] - num[k]) / max(abs(jet[k]), 1e-300) for k in (1, 2, 3))
+            if rel > report.max_violation:
+                report.max_violation = rel
+                report.worst_case = {"index": i, "z0": str(z0), "degree": spec.degree}
     report.elapsed_ms = 1e3 * (time.perf_counter() - t0)
     return report
+
+
+#: t - |eta| at which the full-circle regime (ii) begins; regime2_search
+#: counts grid points at or past it
+REGIME2_HIT = 0.5
+#: values of s per array in regime2_search: at density 40 an array is
+#: 8 x 40 x 16 complex (80 kB); a whole r at once (400 kB) raised the
+#: peak RSS of an audit pass by about 0.7 MB
+REGIME2_ROWS = 8
 
 
 def regime2_search(grid_density: int = 40, seed: int = 0) -> VerificationReport:
@@ -196,7 +287,8 @@ def regime2_search(grid_density: int = 40, seed: int = 0) -> VerificationReport:
     2 |lambda| (s - r) >= (1 - r)^2, impossible for s < r, so the expected
     hit count is zero.  Each hit is counted as a violation.  The phase is
     nevertheless swept coarsely so the claim is not tested only at its
-    analytic argmax.
+    analytic argmax.  The grid is evaluated as ``(s, |lambda|, phase)``
+    arrays, one r and REGIME2_ROWS values of s each.
     """
     t0 = time.perf_counter()
     n = grid_density
@@ -205,25 +297,30 @@ def regime2_search(grid_density: int = 40, seed: int = 0) -> VerificationReport:
     fracs = np.linspace(0.0, 0.999, n)   # s = frac * r, includes s = 0
     mods = np.linspace(0.0, 0.999, n)
     phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
+    lams = np.outer(mods, phases)
     for r in rs:
-        for f in fracs:
-            s = f * r
-            gap = np.abs(1.0 + r * r - 2.0 * s * np.outer(mods, phases)).min(axis=1)
-            tm = r * (1.0 - mods) / gap
-            report.samples += len(mods)
-            hits = tm >= 0.5
-            report.violations += int(hits.sum())
-            worst = float(tm.max())
-            if worst - 0.5 > report.max_violation:
-                report.max_violation = worst - 0.5
-                report.worst_case = {"r": float(r), "s": float(s),
-                                     "mod": float(mods[int(tm.argmax())])}
+        s = fracs * r
+        gap = np.concatenate([  # min over the phases, REGIME2_ROWS values of s at a time
+            np.abs(1.0 + r * r - (2.0 * s[k:k + REGIME2_ROWS])[:, None, None] * lams).min(axis=2)
+            for k in range(0, n, REGIME2_ROWS)])
+        tm = r * (1.0 - mods) / gap      # rows: s, columns: |lambda|
+        report.samples += tm.size
+        report.violations += int((tm >= REGIME2_HIT).sum())
+        i, j = divmod(int(tm.argmax()), n)
+        if tm[i, j] - REGIME2_HIT > report.max_violation:
+            report.max_violation = float(tm[i, j] - REGIME2_HIT)
+            report.worst_case = {"r": float(r), "s": float(s[i]), "mod": float(mods[j])}
     report.elapsed_ms = 1e3 * (time.perf_counter() - t0)
     return report
 
 
 def extremal_attainment_audit(n_grid: int = 540, seed: int = 1) -> VerificationReport:
-    """Depth-3 extremal jets must land on the predicted circle."""
+    """Depth-3 extremal jets must land on the predicted circle.
+
+    The grid has 54 (r, s, lambda, mu) cells and max(1, n_grid // 54)
+    angles theta in each, so n_grid is rounded down to a multiple of 54,
+    and to 54 when smaller.
+    """
     t0 = time.perf_counter()
     report = VerificationReport(suite="extremal", seed=seed)
     rs = (0.3, 0.5, 0.7)
@@ -257,12 +354,14 @@ SUITES = {
     "membership": lambda n, seed: membership_audit(n, seed=seed),
     "fd": lambda n, seed: fd_audit(n, seed=seed),
     "regime2": lambda n, seed: regime2_search(grid_density=n, seed=seed),
+    "extremal": lambda n, seed: extremal_attainment_audit(n, seed=seed),
 }
 
 
 def run_suite(name: str, n: int, seed: int) -> VerificationReport:
-    """n means samples for membership/fd and per-axis grid density for
-    regime2; "all" runs the three with a fixed regime2 density of 40."""
+    """n means samples for membership/fd, per-axis grid density for
+    regime2 and grid size for extremal; "all" runs membership, fd and
+    regime2, the last with a fixed density of 40."""
     if name == "all":
         return merge_reports([
             membership_audit(n, seed=seed),

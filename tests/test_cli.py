@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from diskjet import cli, disk_order3_params
+from diskjet import cli, disk_order3_params, lambda_from_w1
 from diskjet.cli import (EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VERIFY,
                          fmt_complex, main, parse_complex)
 from diskjet.verify import VerificationReport
@@ -64,6 +64,30 @@ def test_disk_order3_needs_w2_when_interior(capsys):
     code, _, err = run(capsys, "disk", "--order", "3", "--z0", "0.5", "--w0", "0.25",
                        "--w1", "0.55")
     assert code == EXIT_USAGE and "--w2" in err
+
+
+def test_disk_extracts_lambda_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lambda_from_w1(*args)
+
+    monkeypatch.setattr("diskjet.dieudonne.lambda_from_w1", counted)
+    for order, extra in (("3", ("--w2", "0.1+0.2i")), ("3", ()), ("2", ())):
+        calls.clear()
+        code, _, _ = run(capsys, "disk", "--order", order, "--z0", "0.5", "--w0", "0.25",
+                         "--w1", "0.55", *extra)
+        assert code == (EXIT_USAGE if order == "3" and not extra else EXIT_OK)
+        assert len(calls) == 1, (order, extra)
+
+
+def test_disk_w1_rejects_zero_base_point(capsys):
+    # z0 is validated before lambda is extracted (w0 / z0 would divide by 0)
+    for order in ("2", "3"):
+        code, _, err = run(capsys, "disk", "--order", order, "--z0", "0", "--w0", "0",
+                           "--w1", "1", "--w2", "0")
+        assert code == EXIT_INFEASIBLE and "z0" in err
 
 
 def test_disk_infeasible_exit(capsys):
@@ -192,13 +216,15 @@ def test_verify_n_cap(capsys, monkeypatch):
         raise AssertionError("ran an over-cap --n")
     monkeypatch.setattr("diskjet.verify.run_suite", audit)
     for suite, cap in (("membership", cli.VERIFY_MAX_SAMPLES), ("fd", cli.VERIFY_MAX_SAMPLES),
-                       ("all", cli.VERIFY_MAX_SAMPLES), ("regime2", cli.VERIFY_MAX_GRID)):
+                       ("all", cli.VERIFY_MAX_SAMPLES), ("regime2", cli.VERIFY_MAX_GRID),
+                       ("extremal", cli.VERIFY_MAX_SAMPLES)):
         code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(cap + 1))
         assert code == EXIT_USAGE and out == "" and str(cap) in err
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     help_text = capsys.readouterr().out
     assert str(cli.VERIFY_MAX_SAMPLES) in help_text and str(cli.VERIFY_MAX_GRID) in help_text
+    assert "extremal" in help_text
 
 
 def test_verify_ok(capsys):

@@ -123,6 +123,32 @@ def test_interpolation_data_validation():
     assert d.r == 0.5 and d.s == pytest.approx(abs(0.1 + 0.1j))
 
 
+def test_interpolation_data_extracts_lambda_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lambda_from_w1(*args)
+
+    monkeypatch.setattr("diskjet.dieudonne.lambda_from_w1", counted)
+    z0, w0, lam, mu = 0.4 + 0.3j, 0.2 - 0.1j, 0.3 - 0.2j, -0.4 + 0.5j
+    data = InterpolationData(z0, w0, w1_of(z0, w0, lam), w2_of(z0, w0, lam, mu))
+    assert repr(data.lam) == repr(lambda_from_w1(z0, w0, data.w1))
+    assert disk_order3(data) == disk_order3_params(z0, w0, data.lam,
+                                                   mu_from_w2(z0, w0, data.w2, data.lam))
+    assert len(calls) == 1
+    # case 1: lambda on the rim, no w2
+    calls.clear()
+    disk_order3(InterpolationData(z0, w0, w1_of(z0, w0, cmath.exp(0.4j))))
+    assert len(calls) == 1
+    assert InterpolationData(z0, w0).lam is None
+    # lam is derived: not an argument, not compared, not shown
+    assert data == InterpolationData(z0, w0, data.w1, data.w2)
+    assert "lam" not in repr(data)
+    with pytest.raises(TypeError):
+        InterpolationData(z0, w0, data.w1, data.w2, lam)
+
+
 # --------------------------------------------------------------------------
 # order-3 disk
 

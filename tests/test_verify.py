@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from diskjet import Jet3, VerificationReport, fd_audit, fd_jet, \
-    membership_audit, regime2_search, sample_self_map
-from diskjet.verify import (merge_reports, run_suite, sample_base_point)
+from diskjet import Jet3, VerificationReport, blaschke_jet, blaschke_value, fd_audit, \
+    fd_jet, membership_audit, moebius_jet, moebius_value, regime2_search, sample_self_map
+from diskjet import verify
+from diskjet.verify import (_fd_block, _fd_draw, _sub_rng, merge_reports, run_suite,
+                            sample_base_point)
 
 
 def test_report_serialization_keys():
@@ -90,7 +92,131 @@ def test_regime2_search_empty():
 def test_run_suite_dispatch():
     rep = run_suite("membership", 50, 3)
     assert rep.suite == "membership" and rep.samples == 50
+    rep = run_suite("extremal", 120, 3)
+    assert rep.suite == "extremal" and rep.samples == 108 and rep.violations == 0
+    assert run_suite("extremal", 1, 3).samples == 54
     rep = run_suite("all", 50, 3)
     assert rep.samples > 50
     with pytest.raises(ValueError):
         run_suite("bogus", 10, 1)
+
+
+# --------------------------------------------------------------------------
+# reference oracles: the per-quantity numpy sampling stream, the scalar fd
+# stencil and the per-(r, s) regime-2 loop
+
+def _ref_self_map(rng, max_degree, min_degree=0):
+    degree = int(rng.integers(min_degree, max_degree + 1))
+    phase = float(rng.uniform(0.0, 2.0 * math.pi))
+    radii = 0.95 * np.sqrt(rng.uniform(0.0, 1.0, degree))
+    angles = rng.uniform(0.0, 2.0 * math.pi, degree)
+    return phase, tuple(complex(z) for z in radii * np.exp(1j * angles))
+
+
+def _ref_base_point(rng, lo=0.1, hi=0.9):
+    return complex(float(rng.uniform(lo, hi)) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+
+
+def _ref_moebius_param(rng):
+    return complex(0.5 * (rng.uniform() * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))))
+
+
+def test_sampling_stream_pinned():
+    # the determinism contract: per (seed, index) the same draws, bit for bit,
+    # as per-quantity numpy uniform calls, with the same stream consumed
+    degrees = set()
+    for seed in range(5):
+        for index in range(1000):
+            min_degree = index % 2
+            ref, rng = _sub_rng(seed, index), _sub_rng(seed, index)
+            want = _ref_self_map(ref, 6, min_degree), _ref_base_point(ref)
+            spec = sample_self_map(rng, 6, min_degree=min_degree)
+            got = (spec.phase, spec.zeros), sample_base_point(rng)
+            assert repr(got) == repr(want), (seed, index)
+            assert rng.random() == ref.random()
+            degrees.add(spec.degree)
+
+            ref = _sub_rng(seed, index)
+            want = (_ref_self_map(ref, 4, 1), _ref_moebius_param(ref),
+                    _ref_base_point(ref, 0.1, 0.5))
+            spec, a, z0 = _fd_draw(seed, index, 4, 0.5)
+            assert repr(((spec.phase, spec.zeros), a, z0)) == repr(want), (seed, index)
+    assert degrees == set(range(7))
+
+
+def _fd_reference(draw):
+    spec, a, z0 = draw
+    return fd_jet(lambda z: moebius_value(a, blaschke_value(spec, z)), z0)
+
+
+def test_fd_block_matches_scalar_stencil():
+    draws = [_fd_draw(7, i, 4, 0.5) for i in range(200)]
+    for i in range(100):  # degrees 0 to 6 mixed in one block
+        rng = _sub_rng(8, i)
+        spec = sample_self_map(rng, 6)
+        draws.append((spec, 0.49 * sample_base_point(rng, 0.0, 1.0),
+                       sample_base_point(rng, 0.1, 0.5)))
+    want = [_fd_reference(d) for d in draws]
+    for block in (1, 255, 256, 257):
+        rows = np.concatenate([_fd_block(draws[k:k + block])
+                               for k in range(0, len(draws), block)])
+        assert rows.shape == (len(draws), 4)
+        for got, ref in zip(rows.tolist(), want):
+            for k in range(4):
+                assert abs(got[k] - ref[k]) <= 1e-12 * abs(ref[k]), (block, k)
+
+
+def test_fd_audit_sample_count_and_worst_case():
+    assert fd_audit(0, seed=4).samples == 0
+    assert fd_audit(0, seed=4).worst_case is None
+    for n in (1, 257):
+        rep = fd_audit(n, seed=4)
+        assert rep.samples == n and rep.violations == 0
+        errors = []
+        for i in range(n):
+            draw = _fd_draw(4, i, 4, 0.5)
+            spec, a, z0 = draw
+            jet = moebius_jet(a, blaschke_jet(spec, z0))
+            num = _fd_block([draw])[0].tolist()
+            errors.append(max(abs(jet[k] - num[k]) / abs(jet[k]) for k in (1, 2, 3)))
+        i = rep.worst_case["index"]
+        assert errors[i] == rep.max_violation == max(errors)
+        assert errors.index(max(errors)) == i
+        spec, _, z0 = _fd_draw(4, i, 4, 0.5)
+        assert rep.worst_case == {"index": i, "z0": str(z0), "degree": spec.degree}
+
+
+def _regime2_loop(grid_density, hit):
+    n = grid_density
+    samples = violations = 0
+    max_violation, worst_case = 0.0, None
+    rs = np.linspace(0.02, 0.98, n)
+    fracs = np.linspace(0.0, 0.999, n)
+    mods = np.linspace(0.0, 0.999, n)
+    phases = np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False))
+    for r in rs:
+        for f in fracs:
+            s = f * r
+            gap = np.abs(1.0 + r * r - 2.0 * s * np.outer(mods, phases)).min(axis=1)
+            tm = r * (1.0 - mods) / gap
+            samples += len(mods)
+            violations += int((tm >= hit).sum())
+            worst = float(tm.max())
+            if worst - hit > max_violation:
+                max_violation = worst - hit
+                worst_case = {"r": float(r), "s": float(s), "mod": float(mods[int(tm.argmax())])}
+    return samples, violations, max_violation, worst_case
+
+
+@pytest.mark.parametrize("density", [1, 2, 12, 40])
+def test_regime2_matches_loop(density, monkeypatch):
+    rep = regime2_search(density)
+    assert (rep.samples, rep.violations, rep.max_violation, rep.worst_case) == \
+        _regime2_loop(density, verify.REGIME2_HIT)
+    # a lower threshold gives hits, so counts and the worst case are exercised
+    monkeypatch.setattr(verify, "REGIME2_HIT", 0.45)
+    rep = regime2_search(density)
+    want = _regime2_loop(density, 0.45)
+    assert (rep.samples, rep.violations, rep.max_violation, rep.worst_case) == want
+    if density > 2:
+        assert want[1] > 0 and want[3] is not None

@@ -167,8 +167,8 @@ def test_fd_block_matches_scalar_stencil():
 
 
 def test_fd_audit_sample_count_and_worst_case():
-    assert fd_audit(0, seed=4).samples == 0
-    assert fd_audit(0, seed=4).worst_case is None
+    rep = fd_audit(0, seed=4)
+    assert rep.samples == 0 and rep.worst_case is None and rep.max_violation == 0.0
     for n in (1, 257):
         rep = fd_audit(n, seed=4)
         assert rep.samples == n and rep.violations == 0

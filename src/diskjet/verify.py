@@ -117,8 +117,12 @@ def _sub_rng(seed: int, index: int) -> np.random.Generator:
 # --------------------------------------------------------------------------
 # pointwise derivative oracle
 
+#: points of the circle stencil, in fd_jet and in fd_audit's blocks alike
+FD_POINTS = 16
+
+
 def fd_jet(fn: Callable[[complex], complex], z0: complex,
-           radius: Optional[float] = None, npoints: int = 16) -> Jet3:
+           radius: Optional[float] = None, npoints: int = FD_POINTS) -> Jet3:
     """Numeric jet from pointwise evaluations on a circle around z0.
 
     Trigonometric differencing: a_k = (1 / (m h^k)) sum_j f(z0 + h w^j) w^{-jk}.
@@ -199,10 +203,10 @@ def _quot(ar, ai, br, bi):
     return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
 
 
-def _fd_block(draws, npoints: int = 16) -> np.ndarray:
+def _fd_block(draws) -> np.ndarray:
     """fd_jet of z -> T_a(B(z)) at z0 for each (B, a, z0) in draws.
 
-    One ``(len(draws), npoints)`` array of real and one of imaginary parts
+    One ``(len(draws), FD_POINTS)`` array of real and one of imaginary parts
     hold every stencil value; each Blaschke factor is applied to the rows
     whose degree exceeds its slot.  The products and quotients spell out
     the operations of Python's complex arithmetic in blaschke_value and
@@ -214,7 +218,7 @@ def _fd_block(draws, npoints: int = 16) -> np.ndarray:
     # Python's abs, as in fd_jet: numpy's complex abs can round differently
     radius = np.array([0.05 * (1.0 - abs(z)) for z in z0])
     z0 = np.array(z0)
-    z = z0[:, None] + radius[:, None] * np.exp(2j * np.pi * np.arange(npoints) / npoints)
+    z = z0[:, None] + radius[:, None] * np.exp(2j * np.pi * np.arange(FD_POINTS) / FD_POINTS)
     zr, zi = z.real, z.imag
     degree = np.array([b.degree for b in specs])
     zeros = np.zeros((len(specs), int(degree.max())), dtype=complex)
@@ -233,7 +237,7 @@ def _fd_block(draws, npoints: int = 16) -> np.ndarray:
     ar, ai = a.real, a.imag
     # (v + a) / (1 + conj(a) v)
     vr, vi = _quot(vr + ar, vi + ai, 1.0 + (ar * vr + ai * vi), ar * vi - ai * vr)
-    coef = np.fft.fft(vr + 1j * vi, axis=1)[:, :4] / npoints
+    coef = np.fft.fft(vr + 1j * vi, axis=1)[:, :4] / FD_POINTS
     # fd_jet's radius ** k is C pow; numpy's power can round differently
     rk = np.array([[h ** k for k in range(4)] for h in radius.tolist()])
     return coef.real / rk + 1j * (coef.imag / rk)

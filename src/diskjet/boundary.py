@@ -16,7 +16,6 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,23 +26,18 @@ from .envelope import (BRANCH_TOL, EnvelopeConfig, _gap, _wrap, classify_regime,
 
 #: adaptive refinement stops once adjacent samples are this close in angle
 REFINE_WIDTH = 1e-3
+#: support directions of the half-plane test in ``contains``
+CONTAINS_GRID = 720
 
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Affine frame A (B + C V) over an envelope configuration.
-
-    ``r``, ``s``, ``lam`` are kept when the spec comes from admissible
-    data and are None for abstract envelope configs.
-    """
+    """Affine frame A (B + C V) over an envelope configuration."""
 
     A: float
     B: complex
     C: complex
     env: EnvelopeConfig
-    r: Optional[float] = None
-    s: Optional[float] = None
-    lam: Optional[complex] = None
 
     @property
     def regime(self) -> str:
@@ -97,7 +91,7 @@ def region_spec(r: float, s: float, lam: complex) -> RegionSpec:
     gap_l = 1.0 - abs(lam) ** 2
     env = EnvelopeConfig(t=r / abs(denom), eta=r * lam.conjugate() / denom)
     return RegionSpec(A=_scale(3, r, s), B=_curly_b(s, r, lam),
-                      C=r * gap_l * denom, env=env, r=r, s=s, lam=lam)
+                      C=r * gap_l * denom, env=env)
 
 
 def abstract_region(t: float, eta: complex = 0j, A: float = 1.0,
@@ -197,9 +191,10 @@ def denormalize(curve: BoundaryCurve, phi: float, xi: float) -> BoundaryCurve:
     return BoundaryCurve(points=pts)
 
 
-def contains(spec: RegionSpec, w, slack: float = 1e-7, ngrid: int = 720):
-    """Half-plane support test: w is in the region iff for every sampled
-    direction it stays on the inner side of the supporting line.
+def contains(spec: RegionSpec, w, slack: float = 1e-7):
+    """Half-plane support test: w is in the region iff for each of
+    CONTAINS_GRID directions it stays on the inner side of the supporting
+    line.
 
     ``w`` is one point, giving a bool, or an iterable of points, giving a
     list of bools; the support grid is computed once per call, so test many
@@ -208,7 +203,7 @@ def contains(spec: RegionSpec, w, slack: float = 1e-7, ngrid: int = 720):
     frame.
     """
     single = isinstance(w, numbers.Number)
-    thetas = _theta_grid(ngrid)
+    thetas = _theta_grid(CONTAINS_GRID)
     _, _, _, v = support_arrays(spec.env, thetas)
     e = np.exp(-1j * thetas)
     er, ei = e.real, e.imag

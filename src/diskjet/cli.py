@@ -211,10 +211,10 @@ def _cmd_extremal(args) -> int:
     payload = {
         "depth": depth,
         "theta": float(fmt(theta)),
-        "u0": fmt_complex(spec.u0),
-        "v0": fmt_complex(spec.v0),
-        "tau": fmt_complex(spec.tau) if spec.tau is not None else None,
-        "eta_ext": fmt_complex(spec.eta_ext) if spec.eta_ext is not None else None,
+        "u0": fmt_complex(spec.links[0]),
+        "v0": fmt_complex(spec.links[1]),
+        "tau": fmt_complex(spec.links[2]) if depth == 2 else None,
+        "eta_ext": fmt_complex(spec.links[2]) if depth == 3 else None,
         "w0": fmt_complex(jet.a0),
         "w1": fmt_complex(jet.a1),
         "w2": fmt_complex(2.0 * jet.a2),

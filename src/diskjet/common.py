@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 
@@ -39,6 +38,3 @@ class ClosedDisk:
     def excess(self, w: complex) -> float:
         """Signed distance of w past the rim (<= 0 means inside)."""
         return abs(w - self.center) - self.radius
-
-    def boundary_point(self, angle: float) -> complex:
-        return self.center + self.radius * cmath.exp(1j * angle)

@@ -17,6 +17,8 @@ Conventions
   forces w3; (3) otherwise w3 fills a disk of positive radius.  A modulus
   within CASE1_TOL of 1 counts as 1.  :func:`case` applies this rule, and
   every caller in the package that branches on the case asks it.
+* Base data is admissible when 0 < |z0| < 1 and |w0| < |z0|; every
+  function taking z0 and w0 asks :func:`_radii`, the only check of it.
 * The order-k radius factor k! (r^2 - s^2) / (r^k (1 - r^2)^k) is
   computed once, by :func:`_scale`.
 
@@ -75,12 +77,7 @@ class InterpolationData:
     lam: Optional[complex] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = abs(self.z0)
-        if not 0.0 < r < 1.0:
-            raise DomainError(f"need 0 < |z0| < 1, got |z0| = {r}")
-        if not abs(self.w0) < r:
-            raise InfeasibleConstraintError(
-                f"need |w0| < |z0| (Schwarz), got |w0| = {abs(self.w0)}, |z0| = {r}")
+        _radii(self.z0, self.w0)
         # feasibility of w1 == |lambda| <= 1 (+ tolerance)
         lam = None if self.w1 is None else lambda_from_w1(self.z0, self.w0, self.w1)
         object.__setattr__(self, "lam", lam)
@@ -123,9 +120,10 @@ class NormalizedConfig:
     def from_params(cls, z0: complex, w0: complex, lam: complex,
                     mu: Optional[complex] = None) -> "NormalizedConfig":
         """Config of original-frame data: z0, w0 and the disk parameters there."""
+        r, s = _radii(z0, w0)
         phi, xi = _phases(z0, w0)
         mu_n = None if mu is None else cmath.exp(1j * (phi - xi)) * mu
-        return cls(r=abs(z0), s=abs(w0), lam=cmath.exp(-1j * xi) * lam, mu=mu_n,
+        return cls(r=r, s=s, lam=cmath.exp(-1j * xi) * lam, mu=mu_n,
                    phi=phi, xi=xi)
 
     def rotation(self, k: int) -> complex:
@@ -135,21 +133,18 @@ class NormalizedConfig:
 
 @dataclass(frozen=True)
 class ExtremalSpec:
-    """Nested-Moebius extremal map attaining a disk boundary (or center).
+    """Extremal map attaining a disk boundary (or center), as a Schur chain.
 
-    depth 1: f(z) = z T_{u0}(v0 T_{-z0}(z))                        (|v0| = 1)
-    depth 2: f(z) = z T_{u0}(T_{-z0}(z) T_{v0}(tau T_{-z0}(z)))    (|tau| = 1)
-    depth 3: f(z) = z T_{u0}(T_{-z0}(z) T_{v0}(T_{-z0}(z) T_{eta_ext}(
-                         e^{i theta} T_{-z0}(z))))
+    With m = T_{-z0} and links (c_0, ..., c_n) the map is
+    f(z) = z T_{c_0}(m T_{c_1}(m ... T_{c_{n-1}}(c_n m))):
+
+    depth 1: links (u0, v0)                          (|v0| = 1)
+    depth 2: links (u0, v0, tau)                     (|tau| = 1)
+    depth 3: links (u0, v0, eta_ext, e^{i theta})
     """
 
     z0: complex
-    u0: complex
-    depth: int
-    v0: complex
-    tau: Optional[complex] = None
-    eta_ext: Optional[complex] = None
-    theta: float = 0.0
+    links: tuple
 
 
 def _clamp_unit(v: complex, what: str) -> complex:
@@ -166,36 +161,41 @@ def _phases(z0: complex, w0: complex) -> tuple[float, float]:
     return cmath.phase(z0), (cmath.phase(w0) if w0 != 0 else 0.0)
 
 
+def _radii(z0: complex, w0: complex) -> tuple[float, float]:
+    """(r, s) = (|z0|, |w0|) of admissible base data.
+
+    DomainError unless 0 < |z0| < 1 (NaN included), then
+    InfeasibleConstraintError unless |w0| < |z0| (Schwarz).
+    """
+    r, s = abs(z0), abs(w0)
+    if not 0.0 < r < 1.0:
+        raise DomainError(f"need 0 < |z0| < 1, got |z0| = {r}")
+    if not s < r:
+        raise InfeasibleConstraintError(
+            f"need |w0| < |z0| (Schwarz), got |w0| = {s}, |z0| = {r}")
+    return r, s
+
+
 def _scale(k: int, r: float, s: float) -> float:
     """k! (r^2 - s^2) / (r^k (1 - r^2)^k), the order-k radius factor.
 
-    Factored as (r - s)(r + s) and (1 - r)(1 + r): both differences are
-    exact in floating point, so no digits are lost as s -> r or r -> 1.
+    Evaluated as k! ((r - s)/r) ((r + s)/r) r^(2-k) / ((1 - r)(1 + r))^k:
+    the differences are exact in floating point, so no digits are lost as
+    s -> r or r -> 1, and no factor underflows for tiny r.
     """
-    return math.factorial(k) * (r - s) * (r + s) / (r * (1.0 - r) * (1.0 + r)) ** k
+    return (math.factorial(k) * ((r - s) / r) * ((r + s) / r) * r ** (2 - k)
+            / ((1.0 - r) * (1.0 + r)) ** k)
 
 
 def disk_order1(z0: complex, w0: complex) -> ClosedDisk:
     """Exact region of f'(z0) over self-maps with f(0)=0, f(z0)=w0."""
-    r = abs(z0)
-    if r == 0:
-        raise DomainError("z0 must be nonzero")
-    if not r < 1.0:
-        raise DomainError("need |z0| < 1")
-    s = abs(w0)
-    if not s < r:
-        raise InfeasibleConstraintError("need |w0| < |z0| (Schwarz)")
+    r, s = _radii(z0, w0)
     return ClosedDisk(w0 / z0, _scale(1, r, s))
 
 
 def disk_order2(z0: complex, w0: complex, beta: complex) -> ClosedDisk:
     """Exact region of f''(z0) when f'(z0) is pinned through beta in the closed disk."""
-    r = abs(z0)
-    if r == 0:
-        raise DomainError("z0 must be nonzero")
-    s = abs(w0)
-    if not s < r < 1.0:
-        raise InfeasibleConstraintError("need |w0| < |z0| < 1")
+    r, s = _radii(z0, w0)
     beta = _clamp_unit(complex(beta), "beta")
     scale = _scale(2, r, s)
     center = scale * (z0.conjugate() / z0) * beta * (1.0 - w0.conjugate() * beta)
@@ -205,14 +205,14 @@ def disk_order2(z0: complex, w0: complex, beta: complex) -> ClosedDisk:
 
 def lambda_from_w1(z0: complex, w0: complex, w1: complex) -> complex:
     """Disk parameter of the first derivative; clamped to the closed disk."""
-    r, s = abs(z0), abs(w0)
+    r, s = _radii(z0, w0)
     lam = (w1 - w0 / z0) * (z0 / r) / _scale(1, r, s)
     return _clamp_unit(lam, "lambda")
 
 
 def mu_from_w2(z0: complex, w0: complex, w2: complex, lam: complex) -> complex:
     """Disk parameter of the second derivative given an interior lambda."""
-    r, s = abs(z0), abs(w0)
+    r, s = _radii(z0, w0)
     if case(lam) == 1:
         raise DegenerateCaseError(
             "|lambda| = 1: w2 is forced and mu is undefined (case 1)")
@@ -233,9 +233,7 @@ def disk_order3_params(z0: complex, w0: complex, lam: complex,
     |lambda| = 1 (case 1) and |mu| = 1 (case 2) give radius-zero disks.
     mu may be omitted only in case 1, where it is irrelevant.
     """
-    r, s = abs(z0), abs(w0)
-    if not s < r < 1.0:
-        raise InfeasibleConstraintError("need |w0| < |z0| < 1")
+    r, s = _radii(z0, w0)
     lam = _clamp_unit(complex(lam), "lambda")
     k = case(lam, mu)
     scale = _scale(3, r, s)
@@ -301,25 +299,21 @@ def extremal_spec(config: NormalizedConfig, depth: int, theta: float = 0.0) -> E
     k = case(config.lam, config.mu)
     if depth != k:
         raise DomainError(f"depth {depth} requested, but (lambda, mu) is in case {k}")
-    r, s = config.r, config.s
-    z0 = r * cmath.exp(1j * config.phi)
-    w0 = s * cmath.exp(1j * config.xi)
-    u0 = w0 / z0
-    # disk parameters back in the original frame
+    z0 = config.r * cmath.exp(1j * config.phi)
+    w0 = config.s * cmath.exp(1j * config.xi)
+    frame = z0.conjugate() / z0  # unimodular
+    # disk parameters back in the original frame, times the frame
     lam_o = cmath.exp(1j * config.xi) * config.lam
-    mu_o = None if config.mu is None else cmath.exp(1j * (config.xi - config.phi)) * config.mu
-    frame = r * r / (z0 * z0)  # unimodular
-    v0 = frame * lam_o
-    if depth == 1:
-        return ExtremalSpec(z0=z0, u0=u0, depth=1, v0=v0, theta=theta)
-    if depth == 2:
-        tau = z0.conjugate() * mu_o / z0
-        return ExtremalSpec(z0=z0, u0=u0, depth=2, v0=v0, tau=tau, theta=theta)
-    eta = frame * mu_o
-    if abs(eta) >= 1.0:
-        # cannot happen for admissible mu; kept as a hard runtime guard
-        raise InfeasibleConstraintError(f"constructed |eta_ext| = {abs(eta)} >= 1")
-    return ExtremalSpec(z0=z0, u0=u0, depth=3, v0=v0, eta_ext=eta, theta=theta)
+    links = (w0 / z0, frame * lam_o)
+    if depth > 1:
+        mu_o = cmath.exp(1j * (config.xi - config.phi)) * config.mu
+        links += (frame * mu_o,)  # tau at depth 2, eta_ext at depth 3
+    if depth == 3:
+        if abs(links[2]) >= 1.0:
+            # cannot happen for admissible mu; kept as a hard runtime guard
+            raise InfeasibleConstraintError(f"constructed |eta_ext| = {abs(links[2])} >= 1")
+        links += (cmath.exp(1j * theta),)
+    return ExtremalSpec(z0=z0, links=links)
 
 
 def eval_extremal(spec: ExtremalSpec, z: Optional[complex] = None) -> Jet3:
@@ -327,14 +321,10 @@ def eval_extremal(spec: ExtremalSpec, z: Optional[complex] = None) -> Jet3:
     at = spec.z0 if z is None else complex(z)
     zj = Jet3.identity(at)
     m = moebius_jet(-spec.z0, zj)
-    if spec.depth == 1:
-        inner = m.scale(spec.v0)
-    elif spec.depth == 2:
-        inner = m * moebius_jet(spec.v0, m.scale(spec.tau))
-    else:
-        rot = cmath.exp(1j * spec.theta)
-        inner = m * moebius_jet(spec.v0, m * moebius_jet(spec.eta_ext, m.scale(rot)))
-    return zj * moebius_jet(spec.u0, inner)
+    inner = m.scale(spec.links[-1])
+    for c in reversed(spec.links[1:-1]):
+        inner = m * moebius_jet(c, inner)
+    return zj * moebius_jet(spec.links[0], inner)
 
 
 def sharp_bound_lambda1(r: float, s: float) -> tuple[float, float]:

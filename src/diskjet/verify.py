@@ -122,7 +122,7 @@ FD_POINTS = 16
 
 
 def fd_jet(fn: Callable[[complex], complex], z0: complex,
-           radius: Optional[float] = None, npoints: int = FD_POINTS) -> Jet3:
+           radius: Optional[float] = None) -> Jet3:
     """Numeric jet from pointwise evaluations on a circle around z0.
 
     Trigonometric differencing: a_k = (1 / (m h^k)) sum_j f(z0 + h w^j) w^{-jk}.
@@ -135,9 +135,9 @@ def fd_jet(fn: Callable[[complex], complex], z0: complex,
     """
     if radius is None:
         radius = 0.05 * (1.0 - abs(z0))
-    w = z0 + radius * np.exp(2j * np.pi * np.arange(npoints) / npoints)
+    w = z0 + radius * np.exp(2j * np.pi * np.arange(FD_POINTS) / FD_POINTS)
     vals = np.array([fn(z) for z in w])
-    coef = np.fft.fft(vals) / npoints
+    coef = np.fft.fft(vals) / FD_POINTS
     return Jet3(*(complex(coef[k]) / radius ** k for k in range(4)))
 
 
@@ -146,9 +146,11 @@ def fd_jet(fn: Callable[[complex], complex], z0: complex,
 
 #: relative slack for disk membership
 MEMBERSHIP_SLACK = 1e-9
+#: largest Blaschke degree of a membership sample
+MEMBERSHIP_MAX_DEGREE = 6
 
 
-def membership_audit(n_samples: int, max_degree: int = 6, seed: int = 1) -> VerificationReport:
+def membership_audit(n_samples: int, seed: int = 1) -> VerificationReport:
     """Check f'''(z0) of random f = z * B against the predicted disk.
 
     Per sample: draw B and z0, read (w0..w3) off the jet of z*B, extract
@@ -161,7 +163,7 @@ def membership_audit(n_samples: int, max_degree: int = 6, seed: int = 1) -> Veri
     report = VerificationReport(suite="membership", samples=n_samples, seed=seed)
     for i in range(n_samples):
         rng = _sub_rng(seed, i)
-        spec = sample_self_map(rng, max_degree, min_degree=1)
+        spec = sample_self_map(rng, MEMBERSHIP_MAX_DEGREE, min_degree=1)
         z0 = sample_base_point(rng)
         zj = Jet3.identity(z0)
         fj = zj * blaschke_jet(spec, z0)
@@ -182,20 +184,27 @@ def membership_audit(n_samples: int, max_degree: int = 6, seed: int = 1) -> Veri
     return report
 
 
-def _fd_draw(seed: int, index: int, max_degree: int, z0_hi: float):
+#: largest Blaschke degree of an fd sample
+FD_MAX_DEGREE = 4
+#: largest |z0| of an fd sample: it keeps every stencil point within 0.525
+#: of 0, which the bit-for-bit rounding of _quot relies on
+FD_Z0_HI = 0.5
+
+
+def _fd_draw(seed: int, index: int):
     """Sample (B, a, z0) of fd_audit: a Blaschke product, a Moebius
     parameter with |a| uniform in [0, 0.5), and a base point."""
     rng = _sub_rng(seed, index)
-    spec = sample_self_map(rng, max_degree, min_degree=1)
+    spec = sample_self_map(rng, FD_MAX_DEGREE, min_degree=1)
     u_mod, u_arg = rng.random(2).tolist()
     a = 0.5 * cmath.rect(u_mod, TWO_PI * u_arg)
-    return spec, a, sample_base_point(rng, 0.1, z0_hi)
+    return spec, a, sample_base_point(rng, 0.1, FD_Z0_HI)
 
 
 def _quot(ar, ai, br, bi):
     """(ar + i ai) / (br + i bi) on float arrays for br != 0, rounded as
     Python's complex division rounds when |br| >= |bi|.  That holds for a
-    denominator 1 + c w with |c w| <= 1/2, as in fd_audit's default range:
+    denominator 1 + c w with |c w| <= 1/2, as in fd_audit's range:
     zeros below 0.95 and stencil points within 0.525 of 0, or |a| < 1/2
     and |B| <= 1."""
     ratio = bi / br
@@ -210,7 +219,7 @@ def _fd_block(draws) -> np.ndarray:
     hold every stencil value; each Blaschke factor is applied to the rows
     whose degree exceeds its slot.  The products and quotients spell out
     the operations of Python's complex arithmetic in blaschke_value and
-    moebius_value, so in fd_audit's default range each row has the bits of
+    moebius_value, so in fd_audit's range each row has the bits of
     the scalar ``fd_jet`` of the same draw, whatever block it sits in.
     Row i of the result is (a0, a1, a2, a3) of draw i.
     """
@@ -248,8 +257,7 @@ def _fd_block(draws) -> np.ndarray:
 FD_BLOCK = 128
 
 
-def fd_audit(n_samples: int, seed: int = 1, max_degree: int = 4,
-             z0_hi: float = 0.5) -> VerificationReport:
+def fd_audit(n_samples: int, seed: int = 1) -> VerificationReport:
     """Jet derivatives vs pointwise circle-stencil derivatives.
 
     max_violation is the largest relative error over a1, a2, a3 on random
@@ -262,8 +270,7 @@ def fd_audit(n_samples: int, seed: int = 1, max_degree: int = 4,
     t0 = time.perf_counter()
     report = VerificationReport(suite="fd", samples=n_samples, seed=seed)
     for start in range(0, n_samples, FD_BLOCK):
-        draws = [_fd_draw(seed, i, max_degree, z0_hi)
-                 for i in range(start, min(start + FD_BLOCK, n_samples))]
+        draws = [_fd_draw(seed, i) for i in range(start, min(start + FD_BLOCK, n_samples))]
         for i, ((spec, a, z0), num) in enumerate(zip(draws, _fd_block(draws).tolist()), start):
             jet = moebius_jet(a, blaschke_jet(spec, z0))
             rel = max(abs(jet[k] - num[k]) / max(abs(jet[k]), 1e-300) for k in (1, 2, 3))

@@ -36,7 +36,7 @@ def test_criterion_01_membership():
     t0 = time.perf_counter()
     worst, violations = 0.0, 0
     for seed in (1, 2, 3):
-        rep = membership_audit(10_000, max_degree=6, seed=seed)
+        rep = membership_audit(10_000, seed=seed)
         violations += rep.violations
         worst = max(worst, rep.max_violation)
     elapsed = time.perf_counter() - t0
@@ -136,7 +136,7 @@ def test_criterion_07_regime_search():
 
 
 def test_criterion_08_jet_vs_pointwise():
-    rep = fd_audit(1000, seed=1, z0_hi=0.5)
+    rep = fd_audit(1000, seed=1)
     ok = rep.max_violation <= 1e-5
     report(8, "jet vs pointwise derivatives", ok,
            f"max_rel_err={rep.max_violation:.3e}")

@@ -1,16 +1,18 @@
 """Variability disks, parameter extraction, normalization, extremals."""
 
 import cmath
+import itertools
 import json
 import math
 
 import pytest
 
-from diskjet import (DegenerateCaseError, DomainError, InfeasibleConstraintError,
-                     InterpolationData, Jet3, NormalizedConfig, blaschke_jet,
-                     disk_order1, disk_order2, disk_order3, disk_order3_params,
-                     eval_extremal, extremal_spec, lambda_from_w1, mu_from_w2,
-                     moebius_value, normalize, region_spec, sharp_bound_lambda1)
+from diskjet import (DegenerateCaseError, DomainError, ExtremalSpec,
+                     InfeasibleConstraintError, InterpolationData, Jet3, NormalizedConfig,
+                     blaschke_jet, disk_order1, disk_order2, disk_order3,
+                     disk_order3_params, eval_extremal, extremal_spec, lambda_from_w1,
+                     moebius_jet, moebius_value, mu_from_w2, normalize, region_spec,
+                     sharp_bound_lambda1)
 from diskjet.cli import fmt, fmt_complex, main
 from diskjet.dieudonne import CASE1_TOL, case
 from diskjet.jets import BlaschkeSpec
@@ -327,7 +329,8 @@ def test_disks_accurate_at_edges():
     mp.mp.dps = 50
     beta = lam = 0.3 + 0.2j
     mu = 0.4 - 0.3j
-    for r, s in ((0.5, 0.5 * (1.0 - 1e-10)), (1.0 - 1e-8, 0.3)):
+    for r, s in ((0.5, 0.5 * (1.0 - 1e-10)), (1.0 - 1e-8, 0.3),
+                 (1e-120, 0.0), (1e-200, 0.5e-200), (1e-300, 0.5e-300)):
         R, S = mp.mpf(r), mp.mpf(s)
         B, L, M = mp.mpc(beta), mp.mpc(lam), mp.mpc(mu)
         q, g = R * R - S * S, 1 - R * R
@@ -429,6 +432,38 @@ def test_case_threshold_shared_by_every_consumer(capsys):
         assert (disk_order3(InterpolationData(z0, 0j, 0j, complex(w2))).radius == 0.0) == (k == 2)
 
 
+def test_base_data_rule_shared_by_every_consumer(capsys):
+    # 0 < |z0| < 1 (DomainError) and |w0| < |z0| (InfeasibleConstraintError)
+    # are checked by one rule; every consumer of complex base data and every
+    # command reaching one must apply it, the commands with exit code 2
+    consumers = (
+        lambda z0, w0: InterpolationData(z0, w0),
+        lambda z0, w0: NormalizedConfig.from_params(z0, w0, 0.3, 0.2),
+        disk_order1,
+        lambda z0, w0: disk_order2(z0, w0, 0.3),
+        lambda z0, w0: disk_order3_params(z0, w0, 0.3, 0.2),
+        lambda z0, w0: lambda_from_w1(z0, w0, 0.1),
+        lambda z0, w0: mu_from_w2(z0, w0, 0.1, 0.3),
+    )
+    commands = (
+        ["disk", "--order", "1"],
+        ["disk", "--order", "2", "--beta", "0.3"],
+        ["disk", "--order", "3", "--lambda", "0.3", "--mu", "0.2"],
+        ["extremal", "--lambda", "0.3", "--mu", "0.2"],
+        ["boundary", "--w1", "0.1", "--n", "16"],
+    )
+    z0 = 0.5 * cmath.exp(0.7j)
+    bad = [(complex(z), 0j, DomainError) for z in (0.0, math.nan, 1.0, 1.5, cmath.exp(0.3j))]
+    bad += [(z0, w0, InfeasibleConstraintError) for w0 in (z0, 1.1 * z0)]
+    for z, w, error in bad:
+        for consumer in consumers:
+            with pytest.raises(error):
+                consumer(z, w)
+        for argv in commands:
+            assert main(argv + ["--z0", fmt_complex(z), "--w0", fmt_complex(w)]) == 2
+            assert capsys.readouterr().err.startswith("infeasible: ")
+
+
 def test_extremal_spec_depth_errors():
     cfg_int = NormalizedConfig(r=0.5, s=0.2, lam=0.1 + 0j, mu=0.2 + 0j)
     cfg_uni = NormalizedConfig(r=0.5, s=0.2, lam=cmath.exp(0.2j))
@@ -442,6 +477,40 @@ def test_extremal_spec_depth_errors():
         extremal_spec(NormalizedConfig(r=0.5, s=0.2, lam=0.1 + 0j), 3)
     with pytest.raises(DomainError):
         extremal_spec(cfg_int, 4)
+
+
+def _branch_eval(z0, u0, depth, v0, tau=None, eta_ext=None, theta=0.0, z=None):
+    """The extremal jet with one hand-written branch per depth: the oracle
+    of eval_extremal's Schur-chain loop."""
+    at = z0 if z is None else complex(z)
+    zj = Jet3.identity(at)
+    m = moebius_jet(-z0, zj)
+    if depth == 1:
+        inner = m.scale(v0)
+    elif depth == 2:
+        inner = m * moebius_jet(v0, m.scale(tau))
+    else:
+        rot = cmath.exp(1j * theta)
+        inner = m * moebius_jet(v0, m * moebius_jet(eta_ext, m.scale(rot)))
+    return zj * moebius_jet(u0, inner)
+
+
+def test_extremal_chain_matches_branches():
+    gen = rng(43)
+    for _ in range(100):
+        z0 = random_disk_point(gen)
+        u0, v0, eta = (random_disk_point(gen) for _ in range(3))
+        tau = cmath.exp(1j * gen.uniform(0.0, 2.0 * math.pi))
+        theta = gen.uniform(0.0, 2.0 * math.pi)
+        z = random_disk_point(gen, cap=0.99)
+        # a rotated frame and the real normalized one
+        for base, at in itertools.product((z0, complex(abs(z0))), (None, z)):
+            for links, branch in (((u0, tau), dict(depth=1, v0=tau)),
+                                  ((u0, v0, tau), dict(depth=2, v0=v0, tau=tau)),
+                                  ((u0, v0, eta, cmath.exp(1j * theta)),
+                                   dict(depth=3, v0=v0, eta_ext=eta, theta=theta))):
+                want = _branch_eval(base, u0, z=at, **branch)
+                assert repr(eval_extremal(ExtremalSpec(base, links), at)) == repr(want)
 
 
 def test_extremal_is_self_map():

@@ -139,7 +139,7 @@ def test_sampling_stream_pinned():
             ref = _sub_rng(seed, index)
             want = (_ref_self_map(ref, 4, 1), _ref_moebius_param(ref),
                     _ref_base_point(ref, 0.1, 0.5))
-            spec, a, z0 = _fd_draw(seed, index, 4, 0.5)
+            spec, a, z0 = _fd_draw(seed, index)
             assert repr(((spec.phase, spec.zeros), a, z0)) == repr(want), (seed, index)
     assert degrees == set(range(7))
 
@@ -150,7 +150,7 @@ def _fd_reference(draw):
 
 
 def test_fd_block_matches_scalar_stencil():
-    draws = [_fd_draw(7, i, 4, 0.5) for i in range(200)]
+    draws = [_fd_draw(7, i) for i in range(200)]
     for i in range(100):  # degrees 0 to 6 mixed in one block
         rng = _sub_rng(8, i)
         spec = sample_self_map(rng, 6)
@@ -174,7 +174,7 @@ def test_fd_audit_sample_count_and_worst_case():
         assert rep.samples == n and rep.violations == 0
         errors = []
         for i in range(n):
-            draw = _fd_draw(4, i, 4, 0.5)
+            draw = _fd_draw(4, i)
             spec, a, z0 = draw
             jet = moebius_jet(a, blaschke_jet(spec, z0))
             num = _fd_block([draw])[0].tolist()
@@ -182,7 +182,7 @@ def test_fd_audit_sample_count_and_worst_case():
         i = rep.worst_case["index"]
         assert errors[i] == rep.max_violation == max(errors)
         assert errors.index(max(errors)) == i
-        spec, _, z0 = _fd_draw(4, i, 4, 0.5)
+        spec, _, z0 = _fd_draw(4, i)
         assert rep.worst_case == {"index": i, "z0": str(z0), "degree": spec.degree}
 
 

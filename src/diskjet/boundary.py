@@ -1,13 +1,17 @@
 """The full third-derivative variability region for pinned value and
-first derivative, as an affine image A (B + C V) of the envelope set V.
+first derivative, as an affine image B + C V of the envelope set V.
 
-``region_spec`` builds the constants A, B, C and the envelope config from
-normalized data (r, s, lambda); ``abstract_region`` wraps a bare envelope
-config so the regime-(ii) code paths are testable even though no
-admissible (r, s, lambda) reaches them.  ``gamma`` walks the boundary by
-support direction, the two ``closed_form_*`` functions give the explicit
-circle/cap expressions, and ``sample_boundary`` assembles a closed,
-convex, branch-tagged polygonal trace.
+The region is the union over |mu| <= 1 of the order-3 disks; the disk of
+mu is centered at B + C mu (1 - eta mu) with radius |C| t (1 - |mu|^2).
+``region_spec`` reads B and C off the mu = 0 disk of
+:func:`~diskjet.dieudonne.disk_order3_params` for normalized data
+(r, s, lambda) and builds the envelope config (t, eta);
+``abstract_region`` wraps a bare envelope config so the regime-(ii) code
+paths are testable even though no admissible (r, s, lambda) reaches them.
+``gamma`` walks the boundary by support direction, the two
+``closed_form_*`` functions give the explicit circle/cap expressions, and
+``sample_boundary`` assembles a closed, convex, branch-tagged polygonal
+trace.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .common import DomainError, WrongRegimeError
-from .dieudonne import _curly_b, _scale, case
+from .dieudonne import case, disk_order3_params
 from .envelope import (BRANCH_TOL, EnvelopeConfig, _gap, _wrap, classify_regime,
                        critical_angles, support_arrays, support_point)
 
@@ -32,9 +36,8 @@ CONTAINS_GRID = 720
 
 @dataclass(frozen=True)
 class RegionSpec:
-    """Affine frame A (B + C V) over an envelope configuration."""
+    """Affine frame B + C V over an envelope configuration."""
 
-    A: float
     B: complex
     C: complex
     env: EnvelopeConfig
@@ -45,11 +48,11 @@ class RegionSpec:
 
     def push(self, v: complex) -> complex:
         """Envelope frame -> region frame."""
-        return self.A * (self.B + self.C * v)
+        return self.B + self.C * v
 
     def pull(self, w: complex) -> complex:
         """Region frame -> envelope frame."""
-        return (w / self.A - self.B) / self.C
+        return (w - self.B) / self.C
 
 
 @dataclass(frozen=True)
@@ -88,15 +91,14 @@ def region_spec(r: float, s: float, lam: complex) -> RegionSpec:
     if case(lam) == 1:
         raise DomainError("|lambda| = 1 (case 1): the third derivative is one forced value")
     denom = 1.0 + r * r - 2.0 * s * lam
-    gap_l = 1.0 - abs(lam) ** 2
     env = EnvelopeConfig(t=r / abs(denom), eta=r * lam.conjugate() / denom)
-    return RegionSpec(A=_scale(3, r, s), B=_curly_b(s, r, lam),
-                      C=r * gap_l * denom, env=env)
+    d = disk_order3_params(r, s, lam, 0j)
+    return RegionSpec(B=d.center, C=d.radius / r * denom, env=env)
 
 
-def abstract_region(t: float, eta: complex = 0j, A: float = 1.0,
-                    B: complex = 0j, C: complex = 1.0 + 0j) -> RegionSpec:
-    return RegionSpec(A=A, B=B, C=C, env=EnvelopeConfig(t=t, eta=complex(eta)))
+def abstract_region(t: float, eta: complex = 0j, B: complex = 0j,
+                    C: complex = 1.0 + 0j) -> RegionSpec:
+    return RegionSpec(B=B, C=C, env=EnvelopeConfig(t=t, eta=complex(eta)))
 
 
 def gamma_point(spec: RegionSpec, theta: float) -> BoundaryPoint:

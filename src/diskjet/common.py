@@ -32,9 +32,6 @@ class ClosedDisk:
         if self.radius < 0:
             raise DomainError("disk radius must be nonnegative")
 
-    def contains(self, w: complex, slack: float = 0.0) -> bool:
-        return abs(w - self.center) <= self.radius + slack
-
     def excess(self, w: complex) -> float:
         """Signed distance of w past the rim (<= 0 means inside)."""
         return abs(w - self.center) - self.radius

@@ -19,8 +19,10 @@ Conventions
   every caller in the package that branches on the case asks it.
 * Base data is admissible when 0 < |z0| < 1 and |w0| < |z0|; every
   function taking z0 and w0 asks :func:`_radii`, the only check of it.
-* The order-k radius factor k! (r^2 - s^2) / (r^k (1 - r^2)^k) is
-  computed once, by :func:`_scale`.
+* The order-k factor k! (r^2 - s^2) / (r^2 (1 - r^2)^k) is computed once,
+  by :func:`_scale`; it carries no power of r, so each caller writes the
+  r^(2-k) it needs as a factor of r or a division by z0.  No factor then
+  overflows or underflows for tiny |z0|.
 
 The first-derivative radius is (r^2 - s^2)/(r (1 - r^2)).  (The variant
 with 1 - s^2 in the denominator that sometimes appears in print is too
@@ -177,20 +179,20 @@ def _radii(z0: complex, w0: complex) -> tuple[float, float]:
 
 
 def _scale(k: int, r: float, s: float) -> float:
-    """k! (r^2 - s^2) / (r^k (1 - r^2)^k), the order-k radius factor.
+    """k! (r^2 - s^2) / (r^2 (1 - r^2)^k): the order-k factor without r^(2-k).
 
-    Evaluated as k! ((r - s)/r) ((r + s)/r) r^(2-k) / ((1 - r)(1 + r))^k:
-    the differences are exact in floating point, so no digits are lost as
-    s -> r or r -> 1, and no factor underflows for tiny r.
+    Evaluated as k! ((r - s)/r) ((r + s)/r) / ((1 - r)(1 + r))^k: the
+    differences are exact in floating point, so no digits are lost as
+    s -> r or r -> 1, and every factor is of order one for tiny r.
     """
-    return (math.factorial(k) * ((r - s) / r) * ((r + s) / r) * r ** (2 - k)
+    return (math.factorial(k) * ((r - s) / r) * ((r + s) / r)
             / ((1.0 - r) * (1.0 + r)) ** k)
 
 
 def disk_order1(z0: complex, w0: complex) -> ClosedDisk:
     """Exact region of f'(z0) over self-maps with f(0)=0, f(z0)=w0."""
     r, s = _radii(z0, w0)
-    return ClosedDisk(w0 / z0, _scale(1, r, s))
+    return ClosedDisk(w0 / z0, _scale(1, r, s) * r)
 
 
 def disk_order2(z0: complex, w0: complex, beta: complex) -> ClosedDisk:
@@ -206,7 +208,7 @@ def disk_order2(z0: complex, w0: complex, beta: complex) -> ClosedDisk:
 def lambda_from_w1(z0: complex, w0: complex, w1: complex) -> complex:
     """Disk parameter of the first derivative; clamped to the closed disk."""
     r, s = _radii(z0, w0)
-    lam = (w1 - w0 / z0) * (z0 / r) / _scale(1, r, s)
+    lam = (w1 - w0 / z0) / (z0.conjugate() * _scale(1, r, s))
     return _clamp_unit(lam, "lambda")
 
 
@@ -221,11 +223,6 @@ def mu_from_w2(z0: complex, w0: complex, w2: complex, lam: complex) -> complex:
     return _clamp_unit(mu, "mu")
 
 
-def _curly_b(w0: complex, r: float, lam: complex) -> complex:
-    w0b = w0.conjugate()
-    return w0b * w0b * lam ** 3 - w0b * (1.0 + r * r) * lam ** 2 + r * r * lam
-
-
 def disk_order3_params(z0: complex, w0: complex, lam: complex,
                        mu: Optional[complex] = None) -> ClosedDisk:
     """Region of f'''(z0) from the disk parameters (lambda, mu).
@@ -237,19 +234,20 @@ def disk_order3_params(z0: complex, w0: complex, lam: complex,
     lam = _clamp_unit(complex(lam), "lambda")
     k = case(lam, mu)
     scale = _scale(3, r, s)
-    rot = (r / z0) ** 3  # unimodular
+    u = z0 / r  # unimodular
+    w0b = w0.conjugate()
+    base = (w0b / r) * (w0b * lam - (1.0 + r * r)) * lam ** 2 + r * lam
     if k == 1:
-        return ClosedDisk(scale * rot * _curly_b(w0, r, lam), 0.0)
+        return ClosedDisk(scale / u ** 3 * base, 0.0)
     if mu is None:
         raise DomainError("mu required when |lambda| < 1")
     mu = _clamp_unit(complex(mu), "mu")
     gap_l = 1.0 - abs(lam) ** 2
-    center = scale * rot * (
-        _curly_b(w0, r, lam)
-        + z0 * mu * gap_l * (1.0 + r * r - 2.0 * w0.conjugate() * lam - z0 * lam.conjugate() * mu))
+    center = scale / u ** 3 * (
+        base + u * mu * gap_l * (1.0 + r * r - 2.0 * w0b * lam - z0 * lam.conjugate() * mu))
     if k == 2:
         return ClosedDisk(center, 0.0)
-    return ClosedDisk(center, scale * r * r * gap_l * (1.0 - abs(mu) ** 2))
+    return ClosedDisk(center, scale * r * gap_l * (1.0 - abs(mu) ** 2))
 
 
 def disk_order3(data: InterpolationData) -> ClosedDisk:
@@ -299,21 +297,15 @@ def extremal_spec(config: NormalizedConfig, depth: int, theta: float = 0.0) -> E
     k = case(config.lam, config.mu)
     if depth != k:
         raise DomainError(f"depth {depth} requested, but (lambda, mu) is in case {k}")
-    z0 = config.r * cmath.exp(1j * config.phi)
-    w0 = config.s * cmath.exp(1j * config.xi)
-    frame = z0.conjugate() / z0  # unimodular
-    # disk parameters back in the original frame, times the frame
-    lam_o = cmath.exp(1j * config.xi) * config.lam
-    links = (w0 / z0, frame * lam_o)
-    if depth > 1:
-        mu_o = cmath.exp(1j * (config.xi - config.phi)) * config.mu
-        links += (frame * mu_o,)  # tau at depth 2, eta_ext at depth 3
+    # the k-th link is the k-th real-frame parameter rotated back by rotation(k)
+    params = (config.s / config.r, config.lam, config.mu)[:depth + 1]
+    links = tuple(c / config.rotation(k) for k, c in enumerate(params, 1))
     if depth == 3:
         if abs(links[2]) >= 1.0:
             # cannot happen for admissible mu; kept as a hard runtime guard
             raise InfeasibleConstraintError(f"constructed |eta_ext| = {abs(links[2])} >= 1")
         links += (cmath.exp(1j * theta),)
-    return ExtremalSpec(z0=z0, links=links)
+    return ExtremalSpec(z0=config.r * cmath.exp(1j * config.phi), links=links)
 
 
 def eval_extremal(spec: ExtremalSpec, z: Optional[complex] = None) -> Jet3:
@@ -337,6 +329,6 @@ def sharp_bound_lambda1(r: float, s: float) -> tuple[float, float]:
     """
     if not 0.0 <= s < r < 1.0:
         raise DomainError("need 0 <= s < r < 1")
-    bound = _scale(3, r, s) * ((1.0 + r * r) * s + s * s + r * r)
+    bound = _scale(3, r, s) * ((1.0 + r * r) * (s / r) + s * (s / r) + r)
     a = (r * r + s) / (r * (1.0 + s))
     return bound, a

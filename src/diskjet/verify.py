@@ -66,8 +66,8 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def merge_reports(reports, suite: str = "all") -> VerificationReport:
-    out = VerificationReport(suite=suite)
+def merge_reports(reports) -> VerificationReport:
+    out = VerificationReport(suite="all")
     for r in reports:
         out.samples += r.samples
         out.violations += r.violations
@@ -362,10 +362,10 @@ def extremal_attainment_audit(n_grid: int = 540, seed: int = 1) -> VerificationR
 
 
 SUITES = {
-    "membership": lambda n, seed: membership_audit(n, seed=seed),
-    "fd": lambda n, seed: fd_audit(n, seed=seed),
-    "regime2": lambda n, seed: regime2_search(grid_density=n, seed=seed),
-    "extremal": lambda n, seed: extremal_attainment_audit(n, seed=seed),
+    "membership": membership_audit,
+    "fd": fd_audit,
+    "regime2": regime2_search,
+    "extremal": extremal_attainment_audit,
 }
 
 

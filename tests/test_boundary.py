@@ -7,8 +7,8 @@ import pytest
 
 from diskjet import (DomainError, InterpolationData, NormalizedConfig,
                      WrongRegimeError, abstract_region, closed_form_cap,
-                     closed_form_circle, eval_extremal, extremal_spec, gamma,
-                     normalize, region_spec, sample_boundary)
+                     closed_form_circle, disk_order3_params, eval_extremal,
+                     extremal_spec, gamma, normalize, region_spec, sample_boundary)
 from diskjet.boundary import contains, denormalize, gamma_point
 from diskjet.envelope import _gap, support_point
 
@@ -22,7 +22,7 @@ def grid(n=360):
 SPEC_ADM = region_spec(0.5, 0.25, 0.3 + 0.2j)            # admissible, regime iii
 SPEC_I = region_spec(0.3, 0.1, 0.2 + 0j)                 # admissible, regime i
 SPEC_II = abstract_region(0.8, 0.1 - 0.07j)              # regime ii (abstract only)
-SPEC_III = abstract_region(0.52, 0.2j, A=2.0, B=1.0 - 0.5j, C=0.7 + 0.3j)
+SPEC_III = abstract_region(0.52, 0.2j, B=2.0 - 1.0j, C=1.4 + 0.6j)
 
 
 def test_region_spec_validation():
@@ -246,3 +246,18 @@ def test_region_matches_disk_union_sampling():
         d = disk_order3_params(complex(r), complex(s), lam, mu)
         ws.append(d.center + d.radius * random_disk_point(gen, cap=1.0))
     assert all(contains(spec, ws))
+
+
+def test_region_frame_is_the_mu_disk_family():
+    # the mu-disk of the order-3 lemma is centered at B + C mu (1 - eta mu)
+    # with radius |C| t (1 - |mu|^2), for every admissible (r, s, lambda, mu)
+    gen = rng(71)
+    for _ in range(2000):
+        r = float(gen.uniform(0.01, 0.99))
+        s = r * float(gen.uniform())
+        lam, mu = random_disk_point(gen, cap=0.99), random_disk_point(gen, cap=1.0)
+        spec = region_spec(r, s, lam)
+        d = disk_order3_params(r, s, lam, mu)
+        eta, t = spec.env.eta, spec.env.t
+        assert abs(spec.push(mu * (1.0 - eta * mu)) - d.center) <= 1e-13 * abs(d.center)
+        assert abs(abs(spec.C) * t * (1.0 - abs(mu) ** 2) - d.radius) <= 1e-13 * d.radius

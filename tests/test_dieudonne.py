@@ -13,7 +13,7 @@ from diskjet import (DegenerateCaseError, DomainError, ExtremalSpec,
                      disk_order3_params, eval_extremal, extremal_spec, lambda_from_w1,
                      moebius_jet, moebius_value, mu_from_w2, normalize, region_spec,
                      sharp_bound_lambda1)
-from diskjet.cli import fmt, fmt_complex, main
+from diskjet.cli import fmt, fmt_complex, main, parse_complex
 from diskjet.dieudonne import CASE1_TOL, case
 from diskjet.jets import BlaschkeSpec
 
@@ -323,27 +323,33 @@ def test_overshoot_extremals_hit_forced_value(capsys):
 
 
 def test_disks_accurate_at_edges():
-    # s -> r and r -> 1 cancel in r^2 - s^2 and 1 - r^2 unless factored;
-    # the reference evaluates the same float inputs in 50 digits
+    # s -> r and r -> 1 cancel in r^2 - s^2 and 1 - r^2 unless factored, and
+    # a power of r under- or overflows for tiny r unless divided out; the
+    # reference evaluates the same float inputs in 50 digits
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     beta = lam = 0.3 + 0.2j
     mu = 0.4 - 0.3j
     for r, s in ((0.5, 0.5 * (1.0 - 1e-10)), (1.0 - 1e-8, 0.3),
-                 (1e-120, 0.0), (1e-200, 0.5e-200), (1e-300, 0.5e-300)):
+                 (1e-120, 0.0), (1e-200, 0.0), (1e-200, 0.5e-200), (1e-300, 0.5e-300),
+                 (1e-308, 0.5e-308)):
         R, S = mp.mpf(r), mp.mpf(s)
         B, L, M = mp.mpc(beta), mp.mpc(lam), mp.mpc(mu)
         q, g = R * R - S * S, 1 - R * R
         k2, k3 = 2 * q / (R * g) ** 2, 6 * q / (R * g) ** 3
         gap_l = 1 - abs(L) ** 2
-        cubic = S * S * L ** 3 - S * (1 + R * R) * L ** 2 + R * R * L
+
+        def cubic(L):
+            return S * S * L ** 3 - S * (1 + R * R) * L ** 2 + R * R * L
         want = [
             (disk_order1(complex(r), complex(s)), S / R, q / (R * g)),
             (disk_order2(complex(r), complex(s), beta),
              k2 * B * (1 - S * B), k2 * R * (1 - abs(B) ** 2)),
             (disk_order3_params(complex(r), complex(s), lam, mu),
-             k3 * (cubic + R * M * gap_l * (1 + R * R - 2 * S * L - R * mp.conj(L) * M)),
+             k3 * (cubic(L) + R * M * gap_l * (1 + R * R - 2 * S * L - R * mp.conj(L) * M)),
              k3 * R * R * gap_l * (1 - abs(M) ** 2)),
+            # case 1 at lambda = -1: a point, centered near -6 r for s = 0
+            (disk_order3_params(complex(r), complex(s), -1.0), k3 * cubic(mp.mpf(-1)), 0),
         ]
         for disk, center, radius in want:
             assert abs(mp.mpc(disk.center) - center) <= 1e-13 * abs(center)
@@ -546,6 +552,32 @@ def test_sharp_bound_formula_and_attainment():
         assert abs(abs(6.0 * jet.a3) - bound) < 1e-9 * bound
         assert abs(jet.a0 / r - moebius_value(s / r, 0j)) < 1e-14
         assert 0.0 < a < 1.0
+
+
+def test_sharp_bound_matches_paper_formula():
+    # A [(1 + r^2) s + s^2 + r^2] with A = 6 (r^2 - s^2) / (r^3 (1 - r^2)^3),
+    # in 50 digits on the same float inputs; A alone overflows for tiny r
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    for r, s in ((0.5, 0.25), (0.8, 0.3), (1e-200, 0.0), (1e-308, 0.5e-308)):
+        R, S = mp.mpf(r), mp.mpf(s)
+        want = 6 * (R * R - S * S) / (R ** 3 * (1 - R * R) ** 3) * ((1 + R * R) * S + S * S + R * R)
+        bound, _ = sharp_bound_lambda1(r, s)
+        assert abs(bound - want) <= 1e-13 * want
+
+
+def test_tiny_base_point_cli_finite(capsys):
+    # the order-3 disk of |z0| -> 0 is finite (radius ~ 6 |z0|) down to the
+    # smallest subnormal, and so is every number the commands print
+    for z0 in ("1e-308", "1e-310", "5e-324"):
+        for cmd in ("disk --order 3", "extremal"):
+            argv = cmd.split() + ["--z0", z0, "--w0", "0", "--lambda", "0.3", "--mu", "0.2"]
+            assert main(argv) == 0, argv
+            payload = json.loads(capsys.readouterr().out)
+            for v in payload.values():
+                if isinstance(v, str):
+                    v = parse_complex(v)
+                assert v is None or cmath.isfinite(v), (argv, payload)
 
 
 def test_sharp_bound_validation():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -38,6 +39,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a word starting "-digit" or "-.digit" is a value, as in -0.1+0.2i or
+        # -1e-3: argparse's default takes only plain negative numbers for values
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):  # argparse defaults to exit code 2
         raise _UsageError(message)
 
@@ -232,6 +239,8 @@ def _cmd_verify(args) -> int:
     cap = VERIFY_MAX_GRID if args.suite == "regime2" else VERIFY_MAX_SAMPLES
     if not 1 <= args.n <= cap:
         raise _UsageError(f"need 1 <= --n <= {cap} for --suite {args.suite}")
+    if args.seed < 0:
+        raise _UsageError("need --seed >= 0")
     from . import verify
     report = verify.run_suite(args.suite, args.n, args.seed)
     _emit(report.to_json() + "\n", args.out)
@@ -282,7 +291,7 @@ def build_parser() -> _Parser:
                    help=f"samples, 1 to {VERIFY_MAX_SAMPLES} (membership/fd/all), grid size, "
                         f"1 to {VERIFY_MAX_SAMPLES} (extremal), or per-axis grid density, "
                         f"1 to {VERIFY_MAX_GRID} (regime2); default 1000")
-    v.add_argument("--seed", type=int, default=1)
+    v.add_argument("--seed", type=int, default=1, help="sample seed, >= 0 (default 1)")
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)
     return p

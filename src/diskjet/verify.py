@@ -8,24 +8,30 @@ search scans the admissible parameter box for the (analytically
 impossible) full-circle regime; the extremal audit checks that the
 depth-3 extremal maps land on the predicted circle.
 
-Determinism: every sample draws from a generator seeded by (seed, index),
+Determinism: sample i of a seed draws from ``default_rng((seed, i))``,
 so reports are reproducible regardless of evaluation order.  The samplers
 take one ``integers`` draw for the degree and then all their doubles from
 one ``random`` block, which yields exactly the doubles, in the same order,
-that per-quantity ``uniform`` calls would.
+that per-quantity ``uniform`` calls would.  The audits read that same
+stream without building a Generator per sample: ``_pcg64_block`` computes
+the raw PCG64 outputs of a block of indices at once, and the degree and
+doubles are read off them as ``integers`` and ``random`` would.
 
-Batching: the derivative audit draws and expands each sample on its own,
-then evaluates the circle stencil for FD_BLOCK samples at once with numpy
-(one ``(block, points)`` array, one FFT); the regime search evaluates
+Batching: the membership and derivative audits draw FD_BLOCK samples per
+block.  The derivative audit expands each sample's jet on its own, then
+evaluates the circle stencil for the block at once with numpy (one
+``(block, points)`` array, one FFT); the regime search evaluates
 ``(s, |lambda|, phase)`` arrays of one r and REGIME2_ROWS values of s.
 Both give the bits of their per-sample loops.  The membership audit
-stays a loop of scalar public calls, because a call-by-call replay of it
-must reproduce its ``max_violation`` bit for bit.
+checks its samples one at a time with scalar public calls, because a
+call-by-call replay of it must reproduce its ``max_violation`` bit for
+bit.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 import time
@@ -89,6 +95,18 @@ ZERO_RADIUS_CAP = 0.95
 TWO_PI = 2.0 * math.pi
 
 
+def _self_map(degree: int, u) -> BlaschkeSpec:
+    """The Blaschke product of sample_self_map from its doubles u: the
+    phase, then the radius draws, then the angle draws."""
+    zeros = tuple(cmath.rect(ZERO_RADIUS_CAP * math.sqrt(u[1 + j]), TWO_PI * u[1 + degree + j])
+                  for j in range(degree))
+    return BlaschkeSpec(phase=TWO_PI * u[0], zeros=zeros)
+
+
+def _base_point(u_mod: float, u_arg: float, lo: float = 0.1, hi: float = 0.9) -> complex:
+    return cmath.rect(lo + (hi - lo) * u_mod, TWO_PI * u_arg)
+
+
 def sample_self_map(rng: np.random.Generator, max_degree: int,
                     min_degree: int = 0) -> BlaschkeSpec:
     """Random Blaschke product: uniform phase, zeros with radius^2 uniform
@@ -96,22 +114,154 @@ def sample_self_map(rng: np.random.Generator, max_degree: int,
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
     degree = int(rng.integers(min_degree, max_degree + 1))
-    # phase, then the radius draws, then the angle draws
-    u = rng.random(1 + 2 * degree).tolist()
-    zeros = tuple(cmath.rect(ZERO_RADIUS_CAP * math.sqrt(u[1 + j]), TWO_PI * u[1 + degree + j])
-                  for j in range(degree))
-    return BlaschkeSpec(phase=TWO_PI * u[0], zeros=zeros)
+    return _self_map(degree, rng.random(1 + 2 * degree).tolist())
 
 
 def sample_base_point(rng: np.random.Generator, lo: float = 0.1, hi: float = 0.9) -> complex:
     """|z0| uniform in [lo, hi]; extremes excluded to separate algorithmic
     failures from floating-point conditioning."""
-    u_mod, u_arg = rng.random(2).tolist()
-    return cmath.rect(lo + (hi - lo) * u_mod, TWO_PI * u_arg)
+    return _base_point(*rng.random(2).tolist(), lo, hi)
 
 
 def _sub_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
+
+
+def _draw(seed: int, index: int, max_degree: int, n_tail: int):
+    """Sample ``index``'s Blaschke product of degree 1 to max_degree and the
+    n_tail doubles drawn after it, from _sub_rng(seed, index)."""
+    rng = _sub_rng(seed, index)
+    return sample_self_map(rng, max_degree, min_degree=1), rng.random(n_tail).tolist()
+
+
+# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32, _MASK64 = 2 ** 32 - 1, 2 ** 64 - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(n: int) -> list:
+    """The 32-bit words of a non-negative int, low first, as SeedSequence
+    splits its entropy."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_state(seed: int, index: np.ndarray) -> list:
+    """SeedSequence((seed, i)).generate_state(4, uint64) for each uint32 i
+    in index, as four uint64 arrays; all wraparound is on arrays."""
+    entropy = [np.full_like(index, w) for w in _seed_words(seed)] + [index]
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = x * _MIX_L - y * _MIX_R
+        return out ^ out >> 16
+
+    pool = [hashmix(entropy[j] if j < len(entropy) else np.zeros_like(index)) for j in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, words = _INIT_B, []
+    for j in range(8):
+        value = pool[j % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        words.append((value ^ value >> 16).astype(np.uint64))
+    return [words[j] | words[j + 1] << 32 for j in range(0, 8, 2)]
+
+
+def _mulhi(a, b):
+    """High 64 bits of the 128-bit products of uint64 arrays, in 32-bit limbs."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    t = a1 * b0 + (a0 * b0 >> 32)
+    u = a0 * b1 + (t & _MASK32)
+    return a1 * b1 + (t >> 32) + (u >> 32)
+
+
+def _mul128(ah, al, bh, bl):
+    """(hi, lo) of the products mod 2^128 of (ah, al) and (bh, bl)."""
+    return _mulhi(al, bl) + al * bh + ah * bl, al * bl
+
+
+def _split(values) -> tuple:
+    """(hi, lo) uint64 arrays of Python ints below 2^128."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+
+
+def _pcg64_block(seed: int, start: int, stop: int, k: int) -> np.ndarray:
+    """The ``(stop - start, k)`` uint64 array whose row i - start is
+    ``np.random.PCG64(np.random.SeedSequence((seed, i))).random_raw(k)``.
+
+    PCG64 seeds with state 0, inc = 2 initseq + 1, a step, state +=
+    initstate and a step; output j steps once more and returns the XSL-RR
+    of the state.  Unrolled, with M = _PCG_MULT, output j reads the state
+    M^(j+2) initstate + (1 + M + ... + M^(j+2)) inc, so every output of
+    the block comes from two 128-bit products with per-column constants.
+    """
+    if not 0 <= start <= stop <= 2 ** 32:
+        raise ValueError("need 0 <= start <= stop <= 2**32")
+    init_hi, init_lo, seq_hi, seq_lo = _seed_state(
+        seed, np.arange(start, stop).astype(np.uint32))
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    powers = [pow(_PCG_MULT, t, 2 ** 128) for t in range(k + 2)]
+    sums = [total % 2 ** 128 for total in itertools.accumulate(powers)]
+    xh, xl = _mul128(*_split(powers[2:]), init_hi[:, None], init_lo[:, None])
+    yh, yl = _mul128(*_split(sums[2:]), inc_hi[:, None], inc_lo[:, None])
+    lo = xl + yl
+    hi = xh + yh + (lo < xl)
+    x, rot = hi ^ lo, hi >> 58
+    return x >> rot | x << ((64 - rot) & 63)
+
+
+def _draw_block(seed: int, start: int, stop: int, max_degree: int, n_tail: int) -> list:
+    """``[_draw(seed, i, max_degree, n_tail) for i in range(start, stop)]``
+    from one _pcg64_block.
+
+    The degree is Lemire's bounded integer of output 0's low 32 bits, as in
+    ``Generator.integers``; a row that rule rejects (fewer than max_degree
+    in 2^32) draws again from the buffered high half, so it takes the
+    scalar path.  The doubles are ``(out >> 11) 2^-53`` of outputs 1, 2,
+    ..., as in ``Generator.random``.
+    """
+    raw = _pcg64_block(seed, start, stop, 2 + 2 * max_degree + n_tail)
+    scaled = (raw[:, 0] & _MASK32) * max_degree
+    degree = (1 + (scaled >> 32)).tolist()
+    rejected = ((scaled & _MASK32) < (2 ** 32 - max_degree) % max_degree).tolist()
+    doubles = ((raw[:, 1:] >> 11) * 2.0 ** -53).tolist()
+    return [_draw(seed, i, max_degree, n_tail) if bad
+            else (_self_map(d, u), u[1 + 2 * d:1 + 2 * d + n_tail])
+            for i, d, bad, u in zip(range(start, stop), degree, rejected, doubles)]
+
+
+#: samples per _draw_block in membership_audit and fd_audit, and per
+#: stencil array in fd_audit: bounds the temporaries to about 300 kB
+#: whatever the sample count
+FD_BLOCK = 128
+
+
+def _draws(seed: int, n_samples: int, max_degree: int, n_tail: int):
+    """_draw(seed, i, max_degree, n_tail) for i < n_samples, read FD_BLOCK
+    samples at a time."""
+    for start in range(0, n_samples, FD_BLOCK):
+        yield from _draw_block(seed, start, min(start + FD_BLOCK, n_samples), max_degree, n_tail)
 
 
 # --------------------------------------------------------------------------
@@ -161,10 +311,8 @@ def membership_audit(n_samples: int, seed: int = 1) -> VerificationReport:
     """
     t0 = time.perf_counter()
     report = VerificationReport(suite="membership", samples=n_samples, seed=seed)
-    for i in range(n_samples):
-        rng = _sub_rng(seed, i)
-        spec = sample_self_map(rng, MEMBERSHIP_MAX_DEGREE, min_degree=1)
-        z0 = sample_base_point(rng)
+    for i, (spec, u) in enumerate(_draws(seed, n_samples, MEMBERSHIP_MAX_DEGREE, 2)):
+        z0 = _base_point(*u)
         zj = Jet3.identity(z0)
         fj = zj * blaschke_jet(spec, z0)
         w0, w1 = fj.a0, fj.a1
@@ -191,14 +339,14 @@ FD_MAX_DEGREE = 4
 FD_Z0_HI = 0.5
 
 
-def _fd_draw(seed: int, index: int):
-    """Sample (B, a, z0) of fd_audit: a Blaschke product, a Moebius
-    parameter with |a| uniform in [0, 0.5), and a base point."""
-    rng = _sub_rng(seed, index)
-    spec = sample_self_map(rng, FD_MAX_DEGREE, min_degree=1)
-    u_mod, u_arg = rng.random(2).tolist()
-    a = 0.5 * cmath.rect(u_mod, TWO_PI * u_arg)
-    return spec, a, sample_base_point(rng, 0.1, FD_Z0_HI)
+def _fd_sample(spec: BlaschkeSpec, u) -> tuple:
+    """Sample (B, a, z0) of fd_audit from B and the next four doubles: a
+    Moebius parameter with |a| uniform in [0, 0.5), and a base point."""
+    return spec, 0.5 * cmath.rect(u[0], TWO_PI * u[1]), _base_point(u[2], u[3], 0.1, FD_Z0_HI)
+
+
+def _fd_draw(seed: int, index: int) -> tuple:
+    return _fd_sample(*_draw(seed, index, FD_MAX_DEGREE, 4))
 
 
 def _quot(ar, ai, br, bi):
@@ -252,11 +400,6 @@ def _fd_block(draws) -> np.ndarray:
     return coef.real / rk + 1j * (coef.imag / rk)
 
 
-#: samples per stencil block in fd_audit: bounds the temporaries to about
-#: 300 kB whatever the sample count
-FD_BLOCK = 128
-
-
 def fd_audit(n_samples: int, seed: int = 1) -> VerificationReport:
     """Jet derivatives vs pointwise circle-stencil derivatives.
 
@@ -270,7 +413,8 @@ def fd_audit(n_samples: int, seed: int = 1) -> VerificationReport:
     t0 = time.perf_counter()
     report = VerificationReport(suite="fd", samples=n_samples, seed=seed)
     for start in range(0, n_samples, FD_BLOCK):
-        draws = [_fd_draw(seed, i) for i in range(start, min(start + FD_BLOCK, n_samples))]
+        draws = [_fd_sample(*d) for d in
+                 _draw_block(seed, start, min(start + FD_BLOCK, n_samples), FD_MAX_DEGREE, 4)]
         for i, ((spec, a, z0), num) in enumerate(zip(draws, _fd_block(draws).tolist()), start):
             jet = moebius_jet(a, blaschke_jet(spec, z0))
             rel = max(abs(jet[k] - num[k]) / max(abs(jet[k]), 1e-300) for k in (1, 2, 3))

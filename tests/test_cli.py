@@ -104,6 +104,21 @@ def test_usage_errors(capsys):
                "--n", "8")[0] == EXIT_USAGE
 
 
+def test_negative_complex_flag_values(capsys):
+    # a value starting with "-" and a digit is a value, spaced or after "="
+    for argv in (["extremal", "--z0", "0.3+0.4i", "--w0", "{}", "--lambda", "0.3-0.2i",
+                  "--mu", "0.4+0.1i"],
+                 ["disk", "--order", "1", "--z0", "0.5", "--w0", "{}"]):
+        for w0 in ("-0.1+0.2i", "-0.1-0.2i", "-0.25", "-.25"):
+            spaced = run(capsys, *(a.format(w0) for a in argv))
+            joined = run(capsys, *" ".join(argv).replace("--w0 {}", "--w0=" + w0).split())
+            assert spaced == joined and spaced[0] == EXIT_OK, (argv[0], w0)
+    code, out, err = run(capsys, "disk", "--order", "1", "--z0", "0.5", "--w0")
+    assert code == EXIT_USAGE and out == "" and "--w0" in err
+    code, out, err = run(capsys, "disk", "--order", "1", "--w0", "--z0", "0.5")
+    assert code == EXIT_USAGE and out == "" and "--w0" in err
+
+
 def test_boundary_n_cap(capsys, monkeypatch):
     # above the cap the usage check fires before any trace is computed
     def trace(*args):
@@ -208,6 +223,12 @@ def test_verify_rejects_nonpositive_n(capsys):
     for n in ("-5", "0"):
         code, out, err = run(capsys, "verify", "--suite", "membership", "--n", n)
         assert code == EXIT_USAGE and out == "" and "--n" in err
+
+
+def test_verify_rejects_negative_seed(capsys):
+    for suite in ("all", "membership", "fd", "regime2", "extremal"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", "10", "--seed", "-1")
+        assert code == EXIT_USAGE and out == "" and err.startswith("usage error:") and "--seed" in err
 
 
 def test_verify_n_cap(capsys, monkeypatch):

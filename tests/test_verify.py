@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from diskjet import Jet3, VerificationReport, blaschke_jet, blaschke_value, fd_audit, \
-    fd_jet, membership_audit, moebius_jet, moebius_value, regime2_search, sample_self_map
+from diskjet import InfeasibleConstraintError, InterpolationData, Jet3, VerificationReport, \
+    blaschke_jet, blaschke_value, disk_order3, fd_audit, fd_jet, membership_audit, moebius_jet, \
+    moebius_value, regime2_search, sample_self_map
 from diskjet import verify
-from diskjet.verify import (_fd_block, _fd_draw, _sub_rng, merge_reports, run_suite,
-                            sample_base_point)
+from diskjet.cli import VERIFY_MAX_SAMPLES
+from diskjet.verify import (_base_point, _draw, _draw_block, _fd_block, _fd_draw, _fd_sample,
+                            _pcg64_block, _sub_rng, merge_reports, run_suite, sample_base_point)
 
 
 def test_report_serialization_keys():
@@ -142,6 +144,115 @@ def test_sampling_stream_pinned():
             spec, a, z0 = _fd_draw(seed, index)
             assert repr(((spec.phase, spec.zeros), a, z0)) == repr(want), (seed, index)
     assert degrees == set(range(7))
+
+
+#: a seed of four 32-bit words: with the index word, SeedSequence's entropy
+#: overflows its pool of four and runs the loop that mixes in the rest
+FOUR_WORD_SEED = 2 ** 96 + 3 * 2 ** 64 + 5 * 2 ** 32 + 7
+
+
+def _membership_draw(seed, index):
+    rng = _sub_rng(seed, index)
+    return sample_self_map(rng, 6, min_degree=1), sample_base_point(rng)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 5, FOUR_WORD_SEED])
+def test_block_stream_matches_default_rng(seed):
+    # the block stream is numpy's stream, up to the last index verify --n allows
+    for start, stop in ((0, 130), (1000, 1128), (VERIFY_MAX_SAMPLES - 128, VERIFY_MAX_SAMPLES)):
+        raw = _pcg64_block(seed, start, stop, 16)
+        assert raw.shape == (stop - start, 16) and raw.dtype == np.uint64
+        want = [np.random.default_rng((seed, i)).bit_generator.random_raw(16).tolist()
+                for i in range(start, stop)]
+        assert raw.tolist() == want, (seed, start)
+        got = [(spec, _base_point(*u)) for spec, u in _draw_block(seed, start, stop, 6, 2)]
+        assert repr(got) == repr([_membership_draw(seed, i) for i in range(start, stop)]), \
+            (seed, start)
+        got = [_fd_sample(*d) for d in _draw_block(seed, start, stop, 4, 4)]
+        assert repr(got) == repr([_fd_draw(seed, i) for i in range(start, stop)]), (seed, start)
+
+
+def test_block_draw_lemire_rejection_takes_scalar_path(monkeypatch):
+    # output 0 with low word 0 is below Lemire's threshold (2^32 - 6) % 6 = 4
+    # for degrees 1 to 6, so Generator.integers draws again: that row must
+    # come from _sub_rng, the others from the block
+    block, calls = verify._pcg64_block, []
+
+    def zero_low_word(seed, start, stop, k):
+        raw = block(seed, start, stop, k)
+        raw[1, 0] &= np.uint64(0xFFFFFFFF00000000)
+        return raw
+
+    def spy(seed, index):
+        calls.append(index)
+        return np.random.default_rng((seed, index))
+
+    monkeypatch.setattr(verify, "_pcg64_block", zero_low_word)
+    monkeypatch.setattr(verify, "_sub_rng", spy)
+    got = _draw_block(3, 10, 13, 6, 2)
+    assert calls == [11]
+    assert repr(got) == repr([_draw(3, i, 6, 2) for i in range(10, 13)])
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError):
+        _pcg64_block(-1, 0, 4, 2)
+    with pytest.raises(ValueError):
+        membership_audit(5, seed=-1)
+    with pytest.raises(ValueError):
+        fd_audit(5, seed=-1)
+
+
+# the per-sample loops of membership_audit and fd_audit before block sampling:
+# one Generator per sample
+
+
+def _membership_loop(n_samples, seed):
+    report = VerificationReport(suite="membership", samples=n_samples, seed=seed)
+    for i in range(n_samples):
+        rng = _sub_rng(seed, i)
+        spec = sample_self_map(rng, verify.MEMBERSHIP_MAX_DEGREE, min_degree=1)
+        z0 = sample_base_point(rng)
+        fj = Jet3.identity(z0) * blaschke_jet(spec, z0)
+        w0, w1 = fj.a0, fj.a1
+        w2, w3 = 2.0 * fj.a2, 6.0 * fj.a3
+        try:
+            disk = disk_order3(InterpolationData(z0, w0, w1, w2))
+        except InfeasibleConstraintError:
+            report.anomalies += 1
+            continue
+        excess = max(disk.excess(w3), 0.0)
+        if excess > verify.MEMBERSHIP_SLACK * (1.0 + disk.radius):
+            report.violations += 1
+        if excess > report.max_violation:
+            report.max_violation = excess
+            report.worst_case = {"index": i, "z0": str(z0), "degree": spec.degree}
+    return report
+
+
+def _fd_loop(n_samples, seed):
+    report = VerificationReport(suite="fd", samples=n_samples, seed=seed)
+    for start in range(0, n_samples, verify.FD_BLOCK):
+        draws = [_fd_draw(seed, i) for i in range(start, min(start + verify.FD_BLOCK, n_samples))]
+        for i, ((spec, a, z0), num) in enumerate(zip(draws, _fd_block(draws).tolist()), start):
+            jet = moebius_jet(a, blaschke_jet(spec, z0))
+            rel = max(abs(jet[k] - num[k]) / max(abs(jet[k]), 1e-300) for k in (1, 2, 3))
+            if rel > report.max_violation:
+                report.max_violation = rel
+                report.worst_case = {"index": i, "z0": str(z0), "degree": spec.degree}
+    return report
+
+
+def _fields(rep):
+    return (rep.samples, rep.violations, rep.anomalies, rep.max_violation.hex(),
+            rep.worst_case)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 2000), (1, 2000), (2, 2000), (3, 2000),
+                                     (5, 1), (5, 127), (5, 129), (5, 2001)])
+def test_block_audits_match_per_sample_loops(seed, n):
+    assert _fields(membership_audit(n, seed)) == _fields(_membership_loop(n, seed))
+    assert _fields(fd_audit(n, seed)) == _fields(_fd_loop(n, seed))
 
 
 def _fd_reference(draw):

@@ -122,8 +122,7 @@ def closed_form_circle(spec: RegionSpec, theta: float) -> complex:
         raise WrongRegimeError("circle closed form needs regime ii or iii")
     if regime == "iii" and _gap(spec.env, theta) >= -BRANCH_TOL:
         raise WrongRegimeError("theta outside the circular-arc angle set")
-    t, eta = spec.env.t, spec.env.eta
-    q = t * t - abs(eta) ** 2
+    t, eta, q = spec.env.t, spec.env.eta, spec.env.q
     v = ((1.0 + 4.0 * q) * t * cmath.exp(1j * theta) - eta.conjugate()) / (4.0 * q)
     return spec.push(v)
 
@@ -141,9 +140,7 @@ def closed_form_cap(spec: RegionSpec, zeta: complex) -> complex:
         raise WrongRegimeError("cap closed form needs regime i or iii")
     eta = spec.env.eta
     if regime == "iii":
-        t = spec.env.t
-        ae = abs(eta)
-        q = t * t - ae * ae
+        t, ae, q = spec.env.t, spec.env.abs_eta, spec.env.q
         rhs = (t * t + ae * ae - 4.0 * q * q) / (2.0 * t * ae)
         # zeta = (x e^{i theta} - conj(eta)) / (2 (x^2 - |eta|^2)) for the
         # root-branch x; recover cos(theta + arg eta) from it

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error, 2 infeasible constraints or domain
 error, 3 verification failure.  Complex flags use the shell-safe syntax
-``RE+IMi`` / ``RE-IMi`` (no spaces); all numerics print with 17
-significant digits so re-parsing is bit-exact.
+``RE+IMi`` / ``RE-IMi`` (no spaces); every number prints so that re-parsing
+is bit-exact (17 significant digits, or the shortest round trip in JSON).
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ def parse_complex(text: str) -> complex:
         raise _UsageError(f"cannot parse complex number {text!r}") from exc
 
 
-def fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}i"
 
@@ -89,7 +85,7 @@ def _cmd_disk(args) -> int:
         if args.beta is not None:
             beta = parse_complex(args.beta)
         elif args.w1 is not None:
-            beta = dd.InterpolationData(z0, w0, parse_complex(args.w1)).lam
+            beta = dd.lambda_from_w1(z0, w0, parse_complex(args.w1))
         else:
             raise _UsageError("order 2 needs --beta or --w1")
         disk = dd.disk_order2(z0, w0, beta)
@@ -107,9 +103,9 @@ def _cmd_disk(args) -> int:
         else:
             raise _UsageError("order 3 needs --w1/--w2 or --lambda/--mu")
     payload = {
-        "center_re": float(fmt(disk.center.real)),
-        "center_im": float(fmt(disk.center.imag)),
-        "radius": float(fmt(disk.radius)),
+        "center_re": disk.center.real,
+        "center_im": disk.center.imag,
+        "radius": disk.radius,
     }
     _emit(_json(payload), args.out)
     return EXIT_OK
@@ -129,9 +125,9 @@ def _curve_json(curve, regime: str) -> str:
     return _json({
         "regime": regime,
         "points": [
-            {"theta": float(fmt(p.theta)),
-             "re": float(fmt(p.value.real)),
-             "im": float(fmt(p.value.imag)),
+            {"theta": p.theta,
+             "re": p.value.real,
+             "im": p.value.imag,
              "branch": p.branch}
             for p in curve.points
         ],
@@ -217,7 +213,7 @@ def _cmd_extremal(args) -> int:
     check = abs(abs(w3 - disk.center / cfg.rotation(3)) - disk.radius)
     payload = {
         "depth": depth,
-        "theta": float(fmt(theta)),
+        "theta": theta,
         "u0": fmt_complex(spec.links[0]),
         "v0": fmt_complex(spec.links[1]),
         "tau": fmt_complex(spec.links[2]) if depth == 2 else None,
@@ -226,7 +222,7 @@ def _cmd_extremal(args) -> int:
         "w1": fmt_complex(jet.a1),
         "w2": fmt_complex(2.0 * jet.a2),
         "w3": fmt_complex(w3),
-        "boundary_angle_check": float(fmt(check)),
+        "boundary_angle_check": check,
     }
     _emit(_json(payload), args.out)
     return EXIT_OK

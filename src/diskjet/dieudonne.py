@@ -10,8 +10,10 @@ extremal maps that attain the disk boundaries.
 
 Conventions
 -----------
-* ``lambda`` parametrizes w1:  w1 = w0/z0 + (r^2-s^2)/(z0 (1-r^2)) * lambda.
-* ``mu`` parametrizes w2 once lambda is interior (see :func:`mu_from_w2`).
+* One rule: w_k fills the order-k disk (c_k, rho_k) as
+  w_k = c_k + rho_k (conj(z0)/|z0|) p_k, p_1 = lambda, p_2 = mu, which
+  :func:`lambda_from_w1` and :func:`mu_from_w2` read off their disks; under
+  normalization lambda and mu rotate like derivatives of order 0 and 1.
 * The third-order lemma has three cases: (1) |lambda| = 1 forces both w2
   and w3 (a unique degree-2 Blaschke-type extremal); (2) |lambda| < 1 = |mu|
   forces w3; (3) otherwise w3 fills a disk of positive radius.  A modulus
@@ -68,8 +70,9 @@ def case(lam: complex, mu: Optional[complex] = None) -> int:
 class InterpolationData:
     """Base point, value, and optional derivative constraints.
 
-    ``lam`` is the disk parameter of w1 (None without w1), extracted once
-    while validating w1 and reused by :func:`disk_order3`.
+    ``lam`` (None without w1) and ``mu`` (None without w2, and in case 1)
+    are the disk parameters of w1 and w2, extracted once while validating
+    them and reused by :func:`disk_order3` and :func:`normalize`.
     """
 
     z0: complex
@@ -77,12 +80,17 @@ class InterpolationData:
     w1: Optional[complex] = None
     w2: Optional[complex] = None
     lam: Optional[complex] = field(init=False, repr=False, compare=False)
+    mu: Optional[complex] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _radii(self.z0, self.w0)
-        # feasibility of w1 == |lambda| <= 1 (+ tolerance)
+        # feasibility of w1, w2 == |lambda|, |mu| <= 1 (+ tolerance)
         lam = None if self.w1 is None else lambda_from_w1(self.z0, self.w0, self.w1)
+        mu = None
+        if self.w2 is not None and lam is not None and case(lam) != 1:
+            mu = mu_from_w2(self.z0, self.w0, self.w2, lam)
         object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
 
     @property
     def r(self) -> float:
@@ -95,12 +103,12 @@ class InterpolationData:
 
 @dataclass(frozen=True)
 class NormalizedConfig:
-    """Reduced coordinates: z0 = r, w0 = s with rotation phases recorded.
+    """Reduced coordinates: z0 = r e^{i phi}, w0 = s e^{i xi} (xi = 0 when w0 = 0).
 
-    ``lam``/``mu`` are the disk parameters recomputed in the rotated frame,
-    clamped onto the unit circle when they overshoot it by at most FEAS_TOL
-    (the rule of :func:`lambda_from_w1` and :func:`mu_from_w2`).  Regions in
-    the original frame are the normalized regions multiplied by
+    ``lam``/``mu`` are the disk parameters in the rotated frame, clamped
+    onto the unit circle when they overshoot it by at most FEAS_TOL (the
+    rule of :func:`lambda_from_w1` and :func:`mu_from_w2`).  Regions in the
+    original frame are the normalized regions multiplied by
     ``exp(-i (k phi - xi))`` for the k-th derivative.
     """
 
@@ -123,7 +131,7 @@ class NormalizedConfig:
                     mu: Optional[complex] = None) -> "NormalizedConfig":
         """Config of original-frame data: z0, w0 and the disk parameters there."""
         r, s = _radii(z0, w0)
-        phi, xi = _phases(z0, w0)
+        phi, xi = cmath.phase(z0), (cmath.phase(w0) if w0 != 0 else 0.0)
         mu_n = None if mu is None else cmath.exp(1j * (phi - xi)) * mu
         return cls(r=r, s=s, lam=cmath.exp(-1j * xi) * lam, mu=mu_n,
                    phi=phi, xi=xi)
@@ -156,11 +164,6 @@ def _clamp_unit(v: complex, what: str) -> complex:
     if m <= 1.0 + FEAS_TOL:
         return v / m
     raise InfeasibleConstraintError(f"|{what}| = {m} exceeds 1 beyond tolerance")
-
-
-def _phases(z0: complex, w0: complex) -> tuple[float, float]:
-    """(phi, xi) with z0 = r e^{i phi}, w0 = s e^{i xi}; xi = 0 when w0 = 0."""
-    return cmath.phase(z0), (cmath.phase(w0) if w0 != 0 else 0.0)
 
 
 def _radii(z0: complex, w0: complex) -> tuple[float, float]:
@@ -205,22 +208,23 @@ def disk_order2(z0: complex, w0: complex, beta: complex) -> ClosedDisk:
     return ClosedDisk(center, radius)
 
 
+def _read_off(z0: complex, disk: ClosedDisk, w: complex, what: str) -> complex:
+    """The p of w = c + rho (conj(z0)/|z0|) p on the disk (c, rho); clamped."""
+    return _clamp_unit((w - disk.center) / (disk.radius * (z0.conjugate() / abs(z0))), what)
+
+
 def lambda_from_w1(z0: complex, w0: complex, w1: complex) -> complex:
     """Disk parameter of the first derivative; clamped to the closed disk."""
-    r, s = _radii(z0, w0)
-    lam = (w1 - w0 / z0) / (z0.conjugate() * _scale(1, r, s))
-    return _clamp_unit(lam, "lambda")
+    return _read_off(z0, disk_order1(z0, w0), w1, "lambda")
 
 
 def mu_from_w2(z0: complex, w0: complex, w2: complex, lam: complex) -> complex:
     """Disk parameter of the second derivative given an interior lambda."""
-    r, s = _radii(z0, w0)
+    disk = disk_order2(z0, w0, lam)
     if case(lam) == 1:
         raise DegenerateCaseError(
             "|lambda| = 1: w2 is forced and mu is undefined (case 1)")
-    num = w2 * (z0 / r) ** 2 / _scale(2, r, s) - lam * (1.0 - w0.conjugate() * lam)
-    mu = num / (z0 * (1.0 - abs(lam) ** 2))
-    return _clamp_unit(mu, "mu")
+    return _read_off(z0, disk, w2, "mu")
 
 
 def disk_order3_params(z0: complex, w0: complex, lam: complex,
@@ -255,33 +259,21 @@ def disk_order3(data: InterpolationData) -> ClosedDisk:
     lambda is unimodular, w2)."""
     if data.w1 is None:
         raise DomainError("w1 required for the order-3 disk")
-    lam = data.lam
-    if case(lam) == 1:
-        return disk_order3_params(data.z0, data.w0, lam)
-    if data.w2 is None:
+    if data.w2 is None and case(data.lam) != 1:
         raise DomainError("w2 required for the order-3 disk when |lambda| < 1")
-    mu = mu_from_w2(data.z0, data.w0, data.w2, lam)
-    return disk_order3_params(data.z0, data.w0, lam, mu)
+    return disk_order3_params(data.z0, data.w0, data.lam, data.mu)
 
 
 def normalize(data: InterpolationData) -> NormalizedConfig:
     """Rotate the configuration to z0 = r > 0, w0 = s >= 0.
 
     The rotated map is f~(z) = e^{-i xi} f(e^{i phi} z), so the k-th
-    derivative picks up e^{i (k phi - xi)}; lambda and mu are recomputed
-    from the rotated derivative values.
+    derivative picks up e^{i (k phi - xi)}; the lambda and mu extracted
+    with the data are rotated by :meth:`NormalizedConfig.from_params`.
     """
     if data.w1 is None:
         raise DomainError("w1 required to extract lambda")
-    r, s = data.r, data.s
-    phi, xi = _phases(data.z0, data.w0)
-    w1_n = cmath.exp(1j * (phi - xi)) * data.w1
-    lam_n = lambda_from_w1(complex(r), complex(s), w1_n)
-    mu_n: Optional[complex] = None
-    if data.w2 is not None and case(lam_n) != 1:
-        w2_n = cmath.exp(1j * (2.0 * phi - xi)) * data.w2
-        mu_n = mu_from_w2(complex(r), complex(s), w2_n, lam_n)
-    return NormalizedConfig(r=r, s=s, lam=lam_n, mu=mu_n, phi=phi, xi=xi)
+    return NormalizedConfig.from_params(data.z0, data.w0, data.lam, data.mu)
 
 
 def extremal_spec(config: NormalizedConfig, depth: int, theta: float = 0.0) -> ExtremalSpec:
@@ -323,12 +315,12 @@ def sharp_bound_lambda1(r: float, s: float) -> tuple[float, float]:
     """Largest |f'''| over the degenerate |lambda| = 1 family, and the
     Moebius parameter of the attaining map.
 
-    The bound is A [(1 + r^2) s + s^2 + r^2], attained at lambda = -1 by
-    f(z) = z T_{s/r}(-T_{-r}(z)), a disk automorphism up to the leading
-    factor with parameter a = (r^2 + s)/(r (1 + s)).
+    The bound is A [(1 + r^2) s + s^2 + r^2], the modulus of the lambda = -1
+    point disk, attained by f(z) = z T_{s/r}(-T_{-r}(z)), a disk automorphism
+    up to the leading factor with parameter a = (r^2 + s)/(r (1 + s)).
     """
     if not 0.0 <= s < r < 1.0:
         raise DomainError("need 0 <= s < r < 1")
-    bound = _scale(3, r, s) * ((1.0 + r * r) * (s / r) + s * (s / r) + r)
+    bound = abs(disk_order3_params(complex(r), complex(s), -1.0).center)
     a = (r * r + s) / (r * (1.0 + s))
     return bound, a

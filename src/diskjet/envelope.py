@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,14 +35,21 @@ MAX_NEWTON = 100
 
 @dataclass(frozen=True)
 class EnvelopeConfig:
+    """Family constants t > |eta|, with abs_eta = |eta| and q = t^2 - |eta|^2."""
+
     t: float
     eta: complex = 0j
+    abs_eta: float = field(init=False, repr=False, compare=False)
+    q: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        ae = abs(self.eta)
         if not self.t > 0.0:
             raise DomainError("need t > 0")
-        if not self.t > abs(self.eta):
-            raise DomainError(f"need t > |eta|, got t={self.t}, |eta|={abs(self.eta)}")
+        if not self.t > ae:
+            raise DomainError(f"need t > |eta|, got t={self.t}, |eta|={ae}")
+        object.__setattr__(self, "abs_eta", ae)
+        object.__setattr__(self, "q", self.t * self.t - ae * ae)
 
 
 @dataclass(frozen=True)
@@ -72,9 +79,7 @@ def circle_family(cfg: EnvelopeConfig, zeta: complex) -> ClosedDisk:
 def _gap(cfg: EnvelopeConfig, theta):
     """Branch predicate at t for a theta or an array of thetas: negative on
     the tangent-disk ("full-point") branch."""
-    ae = abs(cfg.eta)
-    return np.abs(cfg.t * np.exp(1j * theta) - cfg.eta.conjugate()) \
-        - 2.0 * (cfg.t * cfg.t - ae * ae)
+    return np.abs(cfg.t * np.exp(1j * theta) - cfg.eta.conjugate()) - 2.0 * cfg.q
 
 
 def _root_x(cfg: EnvelopeConfig, w: np.ndarray) -> np.ndarray:
@@ -88,7 +93,7 @@ def _root_x(cfg: EnvelopeConfig, w: np.ndarray) -> np.ndarray:
     element is frozen as soon as its iterate stops decreasing, so its value
     does not depend on the other elements of the batch.
     """
-    ae = abs(cfg.eta)
+    ae = cfg.abs_eta
     we = w * cfg.eta
     c, d = we.real, we.imag
     lo = ae + 1e-15 * (1.0 + ae)
@@ -123,7 +128,7 @@ def support_arrays(cfg: EnvelopeConfig, thetas):
     """
     th = np.asarray(thetas, dtype=float)
     w = np.exp(1j * th)
-    ae = abs(cfg.eta)
+    ae = cfg.abs_eta
     full = _gap(cfg, th) < -BRANCH_TOL
     x = np.full(th.shape, cfg.t)
     x[~full] = _root_x(cfg, w[~full])
@@ -144,10 +149,9 @@ def support_point(cfg: EnvelopeConfig, theta: float) -> SupportPoint:
 def classify_regime(cfg: EnvelopeConfig) -> str:
     """"i": boundary is the image of |zeta| = 1 only; "ii": one full circle;
     "iii": mixed circular arc plus cap."""
-    ae = abs(cfg.eta)
-    if cfg.t + ae <= 0.5:
+    if cfg.t + cfg.abs_eta <= 0.5:
         return "i"
-    if cfg.t - ae >= 0.5:
+    if cfg.t - cfg.abs_eta >= 0.5:
         return "ii"
     return "iii"
 
@@ -160,8 +164,7 @@ def critical_angles(cfg: EnvelopeConfig) -> tuple[float, float]:
     """
     if classify_regime(cfg) != "iii":
         raise WrongRegimeError("critical angles exist only in regime iii")
-    ae = abs(cfg.eta)
-    q = cfg.t * cfg.t - ae * ae
+    ae, q = cfg.abs_eta, cfg.q
     rhs = (cfg.t * cfg.t + ae * ae - 4.0 * q * q) / (2.0 * cfg.t * ae)
     rhs = min(1.0, max(-1.0, rhs))
     psi = math.acos(rhs)

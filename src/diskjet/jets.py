@@ -5,8 +5,9 @@ analytic function at a fixed base point, so the k-th derivative is
 ``k! * a_k`` exactly by construction.  Jets are fixed at degree 3; that is
 all the disk machinery ever needs and it keeps exhaustive testing cheap.
 
-The kernels below work on plain 4-tuples of builtin complex numbers;
-:class:`Jet3` wraps them.  There is one backend, pure Python.
+Products and quotients run as kernels on plain 4-tuples of builtin complex
+numbers, shared by :class:`Jet3` and the Moebius and Blaschke jets.  There
+is one backend, pure Python.
 """
 
 from __future__ import annotations
@@ -24,19 +25,6 @@ BACKEND: str = "python"
 
 # --------------------------------------------------------------------------
 # kernels on (a0, a1, a2, a3) tuples
-
-def _jet_add(x, y):
-    return (x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3])
-
-
-def _jet_scale(c, x):
-    return (c * x[0], c * x[1], c * x[2], c * x[3])
-
-
-def _jet_shift(c, x):
-    """Add the constant c to the jet x."""
-    return (x[0] + c, x[1], x[2], x[3])
-
 
 def _jet_mul(x, y):
     x0, x1, x2, x3 = x
@@ -64,21 +52,6 @@ def _jet_div(x, y):
     return _jet_mul(x, _jet_recip(y))
 
 
-def _jet_compose(x, y):
-    """Jet of f∘g where x is the jet of f at y[0] and y is the jet of g.
-
-    Faa di Bruno truncated at order 3.
-    """
-    f0, f1, f2, f3 = x
-    d1, d2, d3 = y[1], y[2], y[3]
-    return (
-        f0,
-        f1 * d1,
-        f1 * d2 + f2 * d1 * d1,
-        f1 * d3 + 2.0 * f2 * d1 * d2 + f3 * d1 * d1 * d1,
-    )
-
-
 class Jet3(NamedTuple):
     """Degree-3 truncated Taylor expansion: value and first three derivatives."""
 
@@ -101,18 +74,19 @@ class Jet3(NamedTuple):
         return math.factorial(k) * self[k]
 
     def scale(self, c: complex) -> "Jet3":
-        return Jet3(*_jet_scale(c, self))
+        return Jet3(c * self[0], c * self[1], c * self[2], c * self[3])
 
     def __add__(self, other):  # type: ignore[override]
         if isinstance(other, Jet3):
-            return Jet3(*_jet_add(self, other))
-        return Jet3(*_jet_shift(other, self))
+            return Jet3(self[0] + other[0], self[1] + other[1], self[2] + other[2],
+                        self[3] + other[3])
+        return Jet3(self[0] + other, self[1], self[2], self[3])
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return Jet3(*_jet_scale(-1.0, self))
+        return self.scale(-1.0)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet3) else -complex(other))
@@ -134,8 +108,14 @@ class Jet3(NamedTuple):
             raise DomainError(str(exc)) from exc
 
     def compose(self, inner: "Jet3") -> "Jet3":
-        """Jet of self∘inner; self must be expanded at inner.a0."""
-        return Jet3(*_jet_compose(self, inner))
+        """Jet of self∘inner; self must be expanded at inner.a0.
+
+        Faa di Bruno truncated at order 3.
+        """
+        f0, f1, f2, f3 = self
+        d1, d2, d3 = inner[1], inner[2], inner[3]
+        return Jet3(f0, f1 * d1, f1 * d2 + f2 * d1 * d1,
+                    f1 * d3 + 2.0 * f2 * d1 * d2 + f3 * d1 * d1 * d1)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,16 @@ from diskjet import (DegenerateCaseError, DomainError, ExtremalSpec,
                      disk_order3_params, eval_extremal, extremal_spec, lambda_from_w1,
                      moebius_jet, moebius_value, mu_from_w2, normalize, region_spec,
                      sharp_bound_lambda1)
-from diskjet.cli import fmt, fmt_complex, main, parse_complex
+from diskjet.cli import fmt_complex, main, parse_complex
 from diskjet.dieudonne import CASE1_TOL, case
 from diskjet.jets import BlaschkeSpec
 
 from conftest import random_disk_point, rng
+
+
+def fmt(x):
+    """A real CLI argument that parses back to x exactly."""
+    return format(x, ".17g")
 
 
 def w1_of(z0, w0, lam):
@@ -100,6 +105,56 @@ def test_lambda_mu_roundtrip():
         assert abs(mu_back - mu) < 1e-11
 
 
+def _lambda_oracle(z0, w0, w1):
+    """The hand-inverted order-1 formula that lambda_from_w1 replaced."""
+    r, s = abs(z0), abs(w0)
+    scale1 = ((r - s) / r) * ((r + s) / r) / ((1.0 - r) * (1.0 + r))
+    return (w1 - w0 / z0) / (z0.conjugate() * scale1)
+
+
+def _mu_oracle(z0, w0, w2, lam):
+    """The hand-inverted order-2 formula that mu_from_w2 replaced."""
+    r, s = abs(z0), abs(w0)
+    scale2 = 2.0 * ((r - s) / r) * ((r + s) / r) / ((1.0 - r) * (1.0 + r)) ** 2
+    num = w2 * (z0 / r) ** 2 / scale2 - lam * (1.0 - w0.conjugate() * lam)
+    return num / (z0 * (1.0 - abs(lam) ** 2))
+
+
+def test_read_off_as_accurate_as_inverse_formulas():
+    # lambda and mu are read off the order-1 and order-2 disks; on the same
+    # float inputs, evaluated in 50 digits, they must be no less accurate
+    # than the hand-inverted formulas, in the real and in a rotated frame.
+    # Both subtract the disk center c from w, which multiplies the rounding
+    # of c by kappa = |c|/|w - c|, so the floor of the bound scales with it.
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
+    gen = rng(53)
+    # builtin floats throughout, so the arithmetic is CPython's, not numpy's
+    radii = gen.uniform(0.05, 0.95, 40).tolist() + [1.0 - 10.0 ** -k for k in range(3, 9)]
+    for r, rotated in itertools.product(radii, (False, True)):
+        phi, xi = gen.uniform(-math.pi, math.pi, 2).tolist() if rotated else (0.0, 0.0)
+        z0 = r * cmath.exp(1j * phi)
+        w0 = r * float(gen.uniform(0.0, 0.95)) * cmath.exp(1j * xi)
+        lam, mu = (random_disk_point(gen, cap=0.9) for _ in range(2))
+        w1, w2 = w1_of(z0, w0, lam), w2_of(z0, w0, lam, mu)
+        Z, W = mp.mpc(z0), mp.mpc(w0)
+        q, g = abs(Z) ** 2 - abs(W) ** 2, 1 - abs(Z) ** 2
+        lam_got = lambda_from_w1(z0, w0, w1)
+        L = mp.mpc(lam_got)  # mu is read with the lambda actually extracted
+        c1, c2 = W / Z, 2 * q / (Z * g) ** 2 * L * (1 - mp.conj(W) * L)
+        want = (
+            (w1, c1, (mp.mpc(w1) - c1) * Z * g / q,
+             lam_got, _lambda_oracle(z0, w0, w1)),
+            (w2, c2, (mp.mpc(w2) - c2) * (Z * g) ** 2 / (2 * q * Z * (1 - abs(L) ** 2)),
+             mu_from_w2(z0, w0, w2, lam_got), _mu_oracle(z0, w0, w2, lam_got)),
+        )
+        for w, c, exact, got, oracle in want:
+            kappa = float(abs(c) / abs(w - c))
+            err, oracle_err = (float(abs(mp.mpc(x) - exact) / abs(exact)) for x in (got, oracle))
+            assert type(got) is complex
+            assert err <= 2.0 * oracle_err + 1e-15 * (1.0 + kappa), (r, rotated, err, oracle_err)
+
+
 def test_lambda_infeasible_w1():
     z0, w0 = 0.5, 0.2
     w1 = w1_of(z0, w0, 1.5 + 0j)
@@ -126,29 +181,57 @@ def test_interpolation_data_validation():
 
 
 def test_interpolation_data_extracts_lambda_once(monkeypatch):
-    calls = []
+    # lambda and mu are each extracted once, by InterpolationData; neither
+    # disk_order3 nor normalize extracts them again
+    calls = {lambda_from_w1: [], mu_from_w2: []}
 
-    def counted(*args):
-        calls.append(args)
-        return lambda_from_w1(*args)
+    def count(fn):
+        def counted(*args):
+            calls[fn].append(args)
+            return fn(*args)
+        monkeypatch.setattr(f"diskjet.dieudonne.{fn.__name__}", counted)
 
-    monkeypatch.setattr("diskjet.dieudonne.lambda_from_w1", counted)
+    def ncalls():
+        n = [len(c) for c in calls.values()]
+        for c in calls.values():
+            c.clear()
+        return n
+
+    count(lambda_from_w1)
+    count(mu_from_w2)
     z0, w0, lam, mu = 0.4 + 0.3j, 0.2 - 0.1j, 0.3 - 0.2j, -0.4 + 0.5j
     data = InterpolationData(z0, w0, w1_of(z0, w0, lam), w2_of(z0, w0, lam, mu))
+    assert ncalls() == [1, 1]
     assert repr(data.lam) == repr(lambda_from_w1(z0, w0, data.w1))
-    assert disk_order3(data) == disk_order3_params(z0, w0, data.lam,
-                                                   mu_from_w2(z0, w0, data.w2, data.lam))
-    assert len(calls) == 1
-    # case 1: lambda on the rim, no w2
-    calls.clear()
-    disk_order3(InterpolationData(z0, w0, w1_of(z0, w0, cmath.exp(0.4j))))
-    assert len(calls) == 1
+    assert repr(data.mu) == repr(mu_from_w2(z0, w0, data.w2, data.lam))
+    assert disk_order3(data) == disk_order3_params(z0, w0, data.lam, data.mu)
+    cfg = normalize(data)
+    assert ncalls() == [0, 0]
+    assert cfg == NormalizedConfig.from_params(z0, w0, data.lam, data.mu)
+    # case 1: lambda on the rim; w2 is forced, so mu is not extracted
+    w1_rim = w1_of(z0, w0, cmath.exp(0.4j))
+    for w2 in (None, data.w2):
+        rim = InterpolationData(z0, w0, w1_rim, w2)
+        assert ncalls() == [1, 0]
+        assert rim.mu is None
+        disk_order3(rim)
+        normalize(rim)
+        assert ncalls() == [0, 0]
     assert InterpolationData(z0, w0).lam is None
-    # lam is derived: not an argument, not compared, not shown
+    assert InterpolationData(z0, w0).mu is None
+    assert InterpolationData(z0, w0, data.w1).mu is None
+    # lam and mu are derived: not arguments, not compared, not shown
     assert data == InterpolationData(z0, w0, data.w1, data.w2)
-    assert "lam" not in repr(data)
+    other = InterpolationData(z0, w0, data.w1, data.w2)
+    object.__setattr__(other, "lam", 0j)
+    object.__setattr__(other, "mu", 0j)
+    assert other == data
+    assert repr(other) == repr(data)
+    assert "lam" not in repr(data) and "mu" not in repr(data)
     with pytest.raises(TypeError):
         InterpolationData(z0, w0, data.w1, data.w2, lam)
+    with pytest.raises(TypeError):
+        InterpolationData(z0, w0, data.w1, data.w2, mu=mu)
 
 
 # --------------------------------------------------------------------------

@@ -204,7 +204,8 @@ def disk_order2(z0: complex, w0: complex, beta: complex) -> ClosedDisk:
     beta = _clamp_unit(complex(beta), "beta")
     scale = _scale(2, r, s)
     center = scale * (z0.conjugate() / z0) * beta * (1.0 - w0.conjugate() * beta)
-    radius = scale * r * (1.0 - abs(beta) ** 2)
+    # a clamped beta can keep |beta| = 1 + 2^-52, so the factor is floored
+    radius = scale * r * max(1.0 - abs(beta) ** 2, 0.0)
     return ClosedDisk(center, radius)
 
 

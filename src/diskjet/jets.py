@@ -7,7 +7,8 @@ all the disk machinery ever needs and it keeps exhaustive testing cheap.
 
 Products and quotients run as kernels on plain 4-tuples of builtin complex
 numbers, shared by :class:`Jet3` and the Moebius and Blaschke jets.  There
-is one backend, pure Python.
+is one backend, pure Python; the audits run the same kernels on tuples of
+:class:`diskjet.carray.CArray`, which round as builtin complex numbers do.
 """
 
 from __future__ import annotations

@@ -13,37 +13,55 @@ so reports are reproducible regardless of evaluation order.  The samplers
 take one ``integers`` draw for the degree and then all their doubles from
 one ``random`` block, which yields exactly the doubles, in the same order,
 that per-quantity ``uniform`` calls would.  The audits read that same
-stream without building a Generator per sample: ``_pcg64_block`` computes
-the raw PCG64 outputs of a block of indices at once, and the degree and
-doubles are read off them as ``integers`` and ``random`` would.
+stream without building a Generator per sample:
+:func:`diskjet.stream.bounded_draws` reads the degree and the doubles of
+a block of indices off their raw PCG64 outputs, as ``integers`` and
+``random`` would.  The scalar samplers (``sample_self_map``, ``_draw``)
+stay as the reference the blocks are tested against.
 
-Batching: the membership and derivative audits draw FD_BLOCK samples per
-block.  The derivative audit expands each sample's jet on its own, then
-evaluates the circle stencil for the block at once with numpy (one
-``(block, points)`` array, one FFT); the regime search evaluates
-``(s, |lambda|, phase)`` arrays of one r and REGIME2_ROWS values of s.
-Both give the bits of their per-sample loops.  The membership audit
-checks its samples one at a time with scalar public calls, because a
-call-by-call replay of it must reproduce its ``max_violation`` bit for
-bit.
+Batching: the membership and derivative audits take BLOCK samples at a
+time as row arrays.  The Blaschke products, their jets at z0, lambda, mu
+and the order-3 disk (membership), the Moebius jets and the circle
+stencil (derivative audit) are computed for the whole block, with one
+zero slot at a time and masks for the rows whose degree is past it.
+Each row has the bits of the scalar public calls on the same draw
+(``blaschke_jet``, ``InterpolationData``, ``disk_order3``, ``moebius_jet``,
+``fd_jet``), because a call-by-call replay of the membership audit must
+reproduce its ``max_violation`` bit for bit.  So the arrays spell out
+what CPython does:
+
+* complex arithmetic is :class:`diskjet.carray.CArray`'s, which follows
+  CPython's rules for mixed float operands, both branches of division,
+  ``abs`` as libm ``hypot`` and ``** n`` as binary powering;
+* ``cos``, ``sin`` and float ``**`` run on Python floats through libm
+  (``_libm``, ``_pow``): ``np.power(x, 2.0)`` is ``x * x``, which rounds
+  differently from ``x ** 2`` on about 1 value in 1,000;
+* every ``_clamp_unit`` of the scalar chain is applied, the re-clamps of
+  lambda and mu in ``disk_order3_params`` included: a clamped value can
+  keep modulus 1 + 2^-52;
+* every row computes every case branch, and the rows on which the scalar
+  chain raises are masked as anomalies.
+
+The regime search evaluates ``(s, |lambda|, phase)`` arrays of one r and
+REGIME2_ROWS values of s, with the bits of its per-point loop.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import dieudonne
-from .common import InfeasibleConstraintError
-from .dieudonne import InterpolationData, disk_order3, disk_order3_params
-from .jets import BlaschkeSpec, Jet3, blaschke_jet, blaschke_value
+from .carray import CArray, where
+from .dieudonne import disk_order3_params
+from .jets import BlaschkeSpec, Jet3, _jet_div, _jet_mul
+from .stream import bounded_draws
 
 
 @dataclass
@@ -134,134 +152,74 @@ def _draw(seed: int, index: int, max_degree: int, n_tail: int):
     return sample_self_map(rng, max_degree, min_degree=1), rng.random(n_tail).tolist()
 
 
-# SeedSequence's hash constants and PCG64's 128-bit LCG multiplier
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_MASK32, _MASK64 = 2 ** 32 - 1, 2 ** 64 - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+#: samples per block of membership_audit and fd_audit: larger blocks
+#: spread numpy's per-call cost over more rows, and fd's (BLOCK,
+#: FD_POINTS) stencil arrays bound the block's memory
+BLOCK = 512
 
 
-def _seed_words(n: int) -> list:
-    """The 32-bit words of a non-negative int, low first, as SeedSequence
-    splits its entropy."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn of each element of a 1-d array, as libm computes it for Python
+    floats; numpy may compute cos, sin and ** its own way."""
+    return np.array(list(map(fn, x.tolist())))
 
 
-def _seed_state(seed: int, index: np.ndarray) -> list:
-    """SeedSequence((seed, i)).generate_state(4, uint64) for each uint32 i
-    in index, as four uint64 arrays; all wraparound is on arrays."""
-    entropy = [np.full_like(index, w) for w in _seed_words(seed)] + [index]
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
-        return value ^ value >> 16
-
-    def mix(x, y):
-        out = x * _MIX_L - y * _MIX_R
-        return out ^ out >> 16
-
-    pool = [hashmix(entropy[j] if j < len(entropy) else np.zeros_like(index)) for j in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    const, words = _INIT_B, []
-    for j in range(8):
-        value = pool[j % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const
-        words.append((value ^ value >> 16).astype(np.uint64))
-    return [words[j] | words[j + 1] << 32 for j in range(0, 8, 2)]
+def _pow(x: np.ndarray, k: int) -> np.ndarray:
+    """x ** k of each element, as a Python float."""
+    return np.array([v ** k for v in x.tolist()])
 
 
-def _mulhi(a, b):
-    """High 64 bits of the 128-bit products of uint64 arrays, in 32-bit limbs."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    t = a1 * b0 + (a0 * b0 >> 32)
-    u = a0 * b1 + (t & _MASK32)
-    return a1 * b1 + (t >> 32) + (u >> 32)
+def _rect(rho, phi: np.ndarray) -> CArray:
+    """cmath.rect(rho, phi) of each row."""
+    return CArray(rho * _libm(math.cos, phi), rho * _libm(math.sin, phi))
 
 
-def _mul128(ah, al, bh, bl):
-    """(hi, lo) of the products mod 2^128 of (ah, al) and (bh, bl)."""
-    return _mulhi(al, bl) + al * bh + ah * bl, al * bl
+class _Block(NamedTuple):
+    """Samples start..stop of an audit stream as row arrays: the degree,
+    exp(i phase) and zero slots of each Blaschke product (slot j holds a
+    zero where degree > j, 0 elsewhere) and the n_tail doubles drawn after
+    it."""
+
+    degree: np.ndarray
+    unit: CArray
+    zeros: list
+    tail: np.ndarray
 
 
-def _split(values) -> tuple:
-    """(hi, lo) uint64 arrays of Python ints below 2^128."""
-    return (np.array([v >> 64 for v in values], dtype=np.uint64),
-            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+def _draw_block(seed: int, start: int, stop: int, max_degree: int, n_tail: int) -> _Block:
+    """``_draw(seed, i, max_degree, n_tail)`` for i in start..stop as a
+    _Block, from one bounded_draws; a row Lemire's rule rejects takes
+    _draw's Generator.  The doubles become the Blaschke product as in
+    _self_map."""
+    degree, u, rejected = bounded_draws(seed, start, stop, max_degree, 1 + 2 * max_degree + n_tail)
+    for k in np.flatnonzero(rejected).tolist():
+        rng = _sub_rng(seed, start + k)
+        degree[k] = d = int(rng.integers(1, max_degree + 1))
+        u[k, :1 + 2 * d + n_tail] = rng.random(1 + 2 * d + n_tail)
+    rows, slots = np.arange(len(u)), np.arange(max_degree)[:, None]
+    live = degree > slots  # (slot, row); dead slots hold 0
+    zeros = _rect(ZERO_RADIUS_CAP * np.sqrt(u[:, 1:1 + max_degree].T[live]),
+                  TWO_PI * u[rows, 1 + degree + slots][live])
+    re, im = np.zeros(live.shape), np.zeros(live.shape)
+    re[live], im[live] = zeros.re, zeros.im
+    return _Block(degree, _rect(1.0, TWO_PI * u[:, 0]), [CArray(*z) for z in zip(re, im)],
+                  u[rows[:, None], 1 + 2 * degree[:, None] + np.arange(n_tail)])
 
 
-def _pcg64_block(seed: int, start: int, stop: int, k: int) -> np.ndarray:
-    """The ``(stop - start, k)`` uint64 array whose row i - start is
-    ``np.random.PCG64(np.random.SeedSequence((seed, i))).random_raw(k)``.
-
-    PCG64 seeds with state 0, inc = 2 initseq + 1, a step, state +=
-    initstate and a step; output j steps once more and returns the XSL-RR
-    of the state.  Unrolled, with M = _PCG_MULT, output j reads the state
-    M^(j+2) initstate + (1 + M + ... + M^(j+2)) inc, so every output of
-    the block comes from two 128-bit products with per-column constants.
-    """
-    if not 0 <= start <= stop <= 2 ** 32:
-        raise ValueError("need 0 <= start <= stop <= 2**32")
-    init_hi, init_lo, seq_hi, seq_lo = _seed_state(
-        seed, np.arange(start, stop).astype(np.uint32))
-    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    powers = [pow(_PCG_MULT, t, 2 ** 128) for t in range(k + 2)]
-    sums = [total % 2 ** 128 for total in itertools.accumulate(powers)]
-    xh, xl = _mul128(*_split(powers[2:]), init_hi[:, None], init_lo[:, None])
-    yh, yl = _mul128(*_split(sums[2:]), inc_hi[:, None], inc_lo[:, None])
-    lo = xl + yl
-    hi = xh + yh + (lo < xl)
-    x, rot = hi ^ lo, hi >> 58
-    return x >> rot | x << ((64 - rot) & 63)
+def _base_points(u_mod, u_arg, lo: float = 0.1, hi: float = 0.9) -> CArray:
+    """_base_point of each row."""
+    return _rect(lo + (hi - lo) * u_mod, TWO_PI * u_arg)
 
 
-def _draw_block(seed: int, start: int, stop: int, max_degree: int, n_tail: int) -> list:
-    """``[_draw(seed, i, max_degree, n_tail) for i in range(start, stop)]``
-    from one _pcg64_block.
-
-    The degree is Lemire's bounded integer of output 0's low 32 bits, as in
-    ``Generator.integers``; a row that rule rejects (fewer than max_degree
-    in 2^32) draws again from the buffered high half, so it takes the
-    scalar path.  The doubles are ``(out >> 11) 2^-53`` of outputs 1, 2,
-    ..., as in ``Generator.random``.
-    """
-    raw = _pcg64_block(seed, start, stop, 2 + 2 * max_degree + n_tail)
-    scaled = (raw[:, 0] & _MASK32) * max_degree
-    degree = (1 + (scaled >> 32)).tolist()
-    rejected = ((scaled & _MASK32) < (2 ** 32 - max_degree) % max_degree).tolist()
-    doubles = ((raw[:, 1:] >> 11) * 2.0 ** -53).tolist()
-    return [_draw(seed, i, max_degree, n_tail) if bad
-            else (_self_map(d, u), u[1 + 2 * d:1 + 2 * d + n_tail])
-            for i, d, bad, u in zip(range(start, stop), degree, rejected, doubles)]
-
-
-#: samples per _draw_block in membership_audit and fd_audit, and per
-#: stencil array in fd_audit: bounds the temporaries to about 300 kB
-#: whatever the sample count
-FD_BLOCK = 128
-
-
-def _draws(seed: int, n_samples: int, max_degree: int, n_tail: int):
-    """_draw(seed, i, max_degree, n_tail) for i < n_samples, read FD_BLOCK
-    samples at a time."""
-    for start in range(0, n_samples, FD_BLOCK):
-        yield from _draw_block(seed, start, min(start + FD_BLOCK, n_samples), max_degree, n_tail)
+def _blaschke_jets(block: _Block, z0: CArray) -> tuple:
+    """blaschke_jet of each row at z0, one zero slot at a time."""
+    acc = (block.unit, 0j, 0j, 0j)
+    for j, zj in enumerate(block.zeros):
+        zjc = zj.conjugate()
+        factor = _jet_div((z0 - zj, 1.0 + 0j, 0j, 0j), (1.0 - zjc * z0, -zjc, 0j, 0j))
+        live = block.degree > j
+        acc = tuple(where(live, x, y) for x, y in zip(_jet_mul(acc, factor), acc))
+    return acc
 
 
 # --------------------------------------------------------------------------
@@ -294,10 +252,105 @@ def fd_jet(fn: Callable[[complex], complex], z0: complex,
 # --------------------------------------------------------------------------
 # audits
 
+
+def _note_worst(report: VerificationReport, values: np.ndarray, start: int,
+                z0: CArray, degree: np.ndarray) -> None:
+    """Raise report.max_violation to the first largest of values that
+    exceeds it, as a per-sample loop with a strict ``>`` would."""
+    i = int(np.argmax(np.where(values > report.max_violation, values, -np.inf)))
+    if values[i] > report.max_violation:
+        report.max_violation = float(values[i])
+        report.worst_case = {"index": start + i, "z0": str(complex(z0[i])),
+                             "degree": int(degree[i])}
+
+
 #: relative slack for disk membership
 MEMBERSHIP_SLACK = 1e-9
 #: largest Blaschke degree of a membership sample
 MEMBERSHIP_MAX_DEGREE = 6
+
+
+def _scale(k: int, r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """dieudonne._scale of each row."""
+    return (math.factorial(k) * ((r - s) / r) * ((r + s) / r)
+            / _pow((1.0 - r) * (1.0 + r), k))
+
+
+def _clamp(v: CArray) -> tuple:
+    """dieudonne._clamp_unit of each row, and where it raises."""
+    m = abs(v)
+    return where(m <= 1.0, v, v / m), ~(m <= 1.0 + dieudonne.FEAS_TOL)
+
+
+def _read_off(z0: CArray, center, radius: np.ndarray, w: CArray) -> tuple:
+    """dieudonne._read_off of each row, and where it raises."""
+    return _clamp((w - center) / (radius * (z0.conjugate() / abs(z0))))
+
+
+def _disk3_rows(z0: CArray, w0: CArray, w1: CArray, w2: CArray) -> tuple:
+    """``disk_order3(InterpolationData(z0, w0, w1, w2))`` of each row, with
+    the same bits: (lambda, mu, center, radius, anomaly).  lambda and mu are
+    the data's; anomaly marks the rows on which it raises
+    InfeasibleConstraintError (their other fields are garbage, as is mu in
+    case 1).
+
+    The lines follow _radii, lambda_from_w1, disk_order2, mu_from_w2 and
+    disk_order3_params operation by operation, every _clamp_unit included,
+    and every row takes both case branches.
+    """
+    rim = 1.0 - dieudonne.CASE1_TOL
+    with np.errstate(all="ignore"):  # anomalous rows may overflow or divide by zero
+        r, s = abs(z0), abs(w0)
+        anomaly = ~(s < r)
+        lam, out = _read_off(z0, w0 / z0, _scale(1, r, s) * r, w1)
+        anomaly |= out
+        beta, _ = _clamp(lam)
+        scale = _scale(2, r, s)
+        center = scale * (z0.conjugate() / z0) * beta * (1.0 - w0.conjugate() * beta)
+        radius = scale * r * np.maximum(1.0 - _pow(abs(beta), 2), 0.0)
+        mu, out = _read_off(z0, center, radius, w2)
+        anomaly |= out & ~(abs(lam) >= rim)
+        # disk_order3_params: it clamps lambda again, finds the case, then clamps mu
+        lam3, _ = _clamp(lam)
+        case1 = abs(lam3) >= rim
+        flat = case1 | (abs(mu) >= rim)
+        mu3, _ = _clamp(mu)
+        scale = _scale(3, r, s)
+        u = z0 / r
+        w0b = w0.conjugate()
+        base = (w0b / r) * (w0b * lam3 - (1.0 + r * r)) * lam3 ** 2 + r * lam3
+        gap_l = 1.0 - _pow(abs(lam3), 2)
+        center = scale / u ** 3 * where(case1, base, base + u * mu3 * gap_l * (
+            1.0 + r * r - 2.0 * w0b * lam3 - z0 * lam3.conjugate() * mu3))
+        radius = np.where(flat, 0.0, scale * r * gap_l * (1.0 - _pow(abs(mu3), 2)))
+    return lam, mu, center, radius, anomaly
+
+
+class _MembershipRows(NamedTuple):
+    """Samples start..stop of membership_audit: the degree of B, z0, the
+    derivatives w of z B at z0, _disk3_rows of them and the excess of w3
+    past the disk."""
+
+    degree: np.ndarray
+    z0: CArray
+    w: tuple
+    lam: CArray
+    mu: CArray
+    center: CArray
+    radius: np.ndarray
+    anomaly: np.ndarray
+    excess: np.ndarray
+
+
+def _membership_rows(seed: int, start: int, stop: int) -> _MembershipRows:
+    block = _draw_block(seed, start, stop, MEMBERSHIP_MAX_DEGREE, 2)
+    z0 = _base_points(block.tail[:, 0], block.tail[:, 1])
+    fj = _jet_mul((z0, 1.0 + 0j, 0j, 0j), _blaschke_jets(block, z0))
+    w = fj[0], fj[1], 2.0 * fj[2], 6.0 * fj[3]
+    disk = _disk3_rows(z0, *w[:3])
+    with np.errstate(all="ignore"):  # anomalous rows may hold inf
+        excess = abs(w[3] - disk[2]) - disk[3]
+    return _MembershipRows(block.degree, z0, w, *disk, excess)
 
 
 def membership_audit(n_samples: int, seed: int = 1) -> VerificationReport:
@@ -307,35 +360,23 @@ def membership_audit(n_samples: int, seed: int = 1) -> VerificationReport:
     (lambda, mu), build the disk, and record any excess past the rim
     beyond MEMBERSHIP_SLACK * (1 + radius).  Extractions landing outside
     the closed parameter disk beyond the clamp tolerance are counted as
-    anomalies, not violations.
+    anomalies, not violations.  The samples are checked BLOCK at a time.
     """
     t0 = time.perf_counter()
     report = VerificationReport(suite="membership", samples=n_samples, seed=seed)
-    for i, (spec, u) in enumerate(_draws(seed, n_samples, MEMBERSHIP_MAX_DEGREE, 2)):
-        z0 = _base_point(*u)
-        zj = Jet3.identity(z0)
-        fj = zj * blaschke_jet(spec, z0)
-        w0, w1 = fj.a0, fj.a1
-        w2, w3 = 2.0 * fj.a2, 6.0 * fj.a3
-        try:
-            disk = disk_order3(InterpolationData(z0, w0, w1, w2))
-        except InfeasibleConstraintError:
-            report.anomalies += 1
-            continue
-        excess = max(disk.excess(w3), 0.0)
-        if excess > MEMBERSHIP_SLACK * (1.0 + disk.radius):
-            report.violations += 1
-        if excess > report.max_violation:
-            report.max_violation = excess
-            report.worst_case = {"index": i, "z0": str(z0), "degree": spec.degree}
+    for start in range(0, n_samples, BLOCK):
+        rows = _membership_rows(seed, start, min(start + BLOCK, n_samples))
+        excess = np.where(rows.anomaly, 0.0, rows.excess)
+        report.anomalies += int(rows.anomaly.sum())
+        report.violations += int((excess > MEMBERSHIP_SLACK * (1.0 + rows.radius)).sum())
+        _note_worst(report, excess, start, rows.z0, rows.degree)
     report.elapsed_ms = 1e3 * (time.perf_counter() - t0)
     return report
 
 
 #: largest Blaschke degree of an fd sample
 FD_MAX_DEGREE = 4
-#: largest |z0| of an fd sample: it keeps every stencil point within 0.525
-#: of 0, which the bit-for-bit rounding of _quot relies on
+#: largest |z0| of an fd sample
 FD_Z0_HI = 0.5
 
 
@@ -349,78 +390,64 @@ def _fd_draw(seed: int, index: int) -> tuple:
     return _fd_sample(*_draw(seed, index, FD_MAX_DEGREE, 4))
 
 
-def _quot(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) on float arrays for br != 0, rounded as
-    Python's complex division rounds when |br| >= |bi|.  That holds for a
-    denominator 1 + c w with |c w| <= 1/2, as in fd_audit's range:
-    zeros below 0.95 and stencil points within 0.525 of 0, or |a| < 1/2
-    and |B| <= 1."""
-    ratio = bi / br
-    denom = br + bi * ratio
-    return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+def _fd_draw_block(seed: int, start: int, stop: int) -> tuple:
+    """(B, a, z0) of _fd_sample for samples start..stop: a _Block and two CArrays."""
+    block = _draw_block(seed, start, stop, FD_MAX_DEGREE, 4)
+    u = block.tail
+    return (block, 0.5 * _rect(u[:, 0], TWO_PI * u[:, 1]),
+            _base_points(u[:, 2], u[:, 3], 0.1, FD_Z0_HI))
 
 
-def _fd_block(draws) -> np.ndarray:
-    """fd_jet of z -> T_a(B(z)) at z0 for each (B, a, z0) in draws.
+def _fd_jets(block: _Block, a: CArray, z0: CArray) -> tuple:
+    """moebius_jet(a, blaschke_jet(B, z0)) of each row."""
+    z = _blaschke_jets(block, z0)
+    ac = a.conjugate()
+    return _jet_div((z[0] + a, z[1], z[2], z[3]),
+                    (1.0 + ac * z[0], ac * z[1], ac * z[2], ac * z[3]))
 
-    One ``(len(draws), FD_POINTS)`` array of real and one of imaginary parts
-    hold every stencil value; each Blaschke factor is applied to the rows
-    whose degree exceeds its slot.  The products and quotients spell out
-    the operations of Python's complex arithmetic in blaschke_value and
-    moebius_value, so in fd_audit's range each row has the bits of
-    the scalar ``fd_jet`` of the same draw, whatever block it sits in.
-    Row i of the result is (a0, a1, a2, a3) of draw i.
+
+def _fd_block(block: _Block, a: CArray, z0: CArray) -> tuple:
+    """fd_jet of z -> T_a(B(z)) at z0 of each row, as four CArrays.
+
+    One ``(rows, FD_POINTS)`` CArray holds every stencil value; each
+    Blaschke factor is applied to the rows whose degree exceeds its slot.
+    The stencil points and the FFT are fd_jet's numpy operations, and the
+    values are blaschke_value and moebius_value in CArray arithmetic, so
+    each row has the bits of ``fd_jet(lambda z: moebius_value(a,
+    blaschke_value(B, z)), z0)``, whatever block it sits in.
     """
-    specs, a, z0 = zip(*draws)
-    # Python's abs, as in fd_jet: numpy's complex abs can round differently
-    radius = np.array([0.05 * (1.0 - abs(z)) for z in z0])
-    z0 = np.array(z0)
-    z = z0[:, None] + radius[:, None] * np.exp(2j * np.pi * np.arange(FD_POINTS) / FD_POINTS)
-    zr, zi = z.real, z.imag
-    degree = np.array([b.degree for b in specs])
-    zeros = np.zeros((len(specs), int(degree.max())), dtype=complex)
-    for i, b in enumerate(specs):
-        zeros[i, :b.degree] = b.zeros
-    unit = np.array([cmath.exp(1j * b.phase) for b in specs])[:, None]
-    vr = np.broadcast_to(unit.real, z.shape)
-    vi = np.broadcast_to(unit.imag, z.shape)
-    for j in range(zeros.shape[1]):
-        cr, ci = zeros[:, j, None].real, zeros[:, j, None].imag
-        # (z - c) / (1 - conj(c) z), then acc *= that
-        qr, qi = _quot(zr - cr, zi - ci, 1.0 - (cr * zr + ci * zi), ci * zr - cr * zi)
-        live = (degree > j)[:, None]
-        vr, vi = np.where(live, vr * qr - vi * qi, vr), np.where(live, vr * qi + vi * qr, vi)
-    a = np.array(a)[:, None]
-    ar, ai = a.real, a.imag
-    # (v + a) / (1 + conj(a) v)
-    vr, vi = _quot(vr + ar, vi + ai, 1.0 + (ar * vr + ai * vi), ar * vi - ai * vr)
-    coef = np.fft.fft(vr + 1j * vi, axis=1)[:, :4] / FD_POINTS
-    # fd_jet's radius ** k is C pow; numpy's power can round differently
-    rk = np.array([[h ** k for k in range(4)] for h in radius.tolist()])
-    return coef.real / rk + 1j * (coef.imag / rk)
+    radius = 0.05 * (1.0 - abs(z0))
+    z = z0.numpy()[:, None] + radius[:, None] * np.exp(2j * np.pi * np.arange(FD_POINTS) / FD_POINTS)
+    z = CArray(z.real.copy(), z.imag.copy())
+    v = CArray(*(np.broadcast_to(x[:, None], z.re.shape) for x in (block.unit.re, block.unit.im)))
+    for j, zj in enumerate(block.zeros):
+        zj = zj[:, None]
+        v = where((block.degree > j)[:, None], v * ((z - zj) / (1.0 - zj.conjugate() * z)), v)
+    a = a[:, None]
+    v = (v + a) / (1.0 + a.conjugate() * v)
+    coef = np.fft.fft(v.numpy(), axis=1)[:, :4] / FD_POINTS
+    rk = np.stack([_pow(radius, k) for k in range(4)], axis=1)
+    return tuple(map(CArray, (coef.real / rk).T, (coef.imag / rk).T))
 
 
 def fd_audit(n_samples: int, seed: int = 1) -> VerificationReport:
     """Jet derivatives vs pointwise circle-stencil derivatives.
 
     max_violation is the largest relative error over a1, a2, a3 on random
-    Moebius-of-Blaschke compositions.  The jets come from the scalar jet
-    engine, sample by sample; the stencils are evaluated FD_BLOCK samples
-    at a time.
+    Moebius-of-Blaschke compositions.  The jets and the stencils are
+    evaluated BLOCK samples at a time.
     """
-    from .jets import moebius_jet
-
     t0 = time.perf_counter()
     report = VerificationReport(suite="fd", samples=n_samples, seed=seed)
-    for start in range(0, n_samples, FD_BLOCK):
-        draws = [_fd_sample(*d) for d in
-                 _draw_block(seed, start, min(start + FD_BLOCK, n_samples), FD_MAX_DEGREE, 4)]
-        for i, ((spec, a, z0), num) in enumerate(zip(draws, _fd_block(draws).tolist()), start):
-            jet = moebius_jet(a, blaschke_jet(spec, z0))
-            rel = max(abs(jet[k] - num[k]) / max(abs(jet[k]), 1e-300) for k in (1, 2, 3))
-            if rel > report.max_violation:
-                report.max_violation = rel
-                report.worst_case = {"index": i, "z0": str(z0), "degree": spec.degree}
+    for start in range(0, n_samples, BLOCK):
+        draws = _fd_draw_block(seed, start, min(start + BLOCK, n_samples))
+        jet, num = _fd_jets(*draws), _fd_block(*draws)
+        rel = None
+        for k in (1, 2, 3):
+            size = abs(jet[k])
+            err = abs(jet[k] - num[k]) / np.where(1e-300 > size, 1e-300, size)
+            rel = err if rel is None else np.where(err > rel, err, rel)
+        _note_worst(report, rel, start, draws[2], draws[0].degree)
     report.elapsed_ms = 1e3 * (time.perf_counter() - t0)
     return report
 

@@ -96,6 +96,14 @@ def test_disk_infeasible_exit(capsys):
     assert "infeasible" in err
 
 
+def test_disk_order2_clamped_beta(capsys):
+    # this |beta| is within FEAS_TOL of 1, and clamping leaves it at 1 + 2^-52
+    code, out, err = run(capsys, "disk", "--order", "2", "--z0", "0.5+0.1i", "--w0", "0.1-0.05i",
+                         "--beta", "0.7018677484516391+0.7123072821160294i")
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["radius"] == 0.0
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "disk", "--order", "5", "--z0", "0.5", "--w0", "0.2")[0] == EXIT_USAGE
     assert run(capsys, "bogus")[0] == EXIT_USAGE

@@ -14,7 +14,7 @@ from diskjet import (DegenerateCaseError, DomainError, ExtremalSpec,
                      moebius_jet, moebius_value, mu_from_w2, normalize, region_spec,
                      sharp_bound_lambda1)
 from diskjet.cli import fmt_complex, main, parse_complex
-from diskjet.dieudonne import CASE1_TOL, case
+from diskjet.dieudonne import CASE1_TOL, FEAS_TOL, _clamp_unit, case
 from diskjet.jets import BlaschkeSpec
 
 from conftest import random_disk_point, rng
@@ -83,6 +83,21 @@ def test_order2_beta_overshoot():
         disk_order2(0.5, 0.2, 1.0 + 1e-6)
     clamped = disk_order2(0.5, 0.2, 1.0 + 1e-12)
     assert clamped.radius < 1e-15
+
+
+def test_order2_clamped_beta_scan():
+    # |beta| in (1, 1 + FEAS_TOL] is clamped onto the circle, but beta / |beta|
+    # can keep |beta| = 1 + 2^-52; the disk must still be a point, not an error
+    z0, w0 = 0.5 + 0.1j, 0.1 - 0.05j
+    flat = disk_order2(z0, w0, 0.0).radius  # the radius factor at beta = 0 is 1
+    gen = rng(41)
+    overshoots = 0
+    for mod, arg in zip(1.0 + FEAS_TOL * gen.random(100_000), gen.random(100_000)):
+        beta = cmath.rect(float(mod), 2.0 * math.pi * float(arg))
+        overshoots += abs(_clamp_unit(beta, "beta")) > 1.0
+        disk = disk_order2(z0, w0, beta)
+        assert 0.0 <= disk.radius <= 4.5e-16 * flat, beta
+    assert overshoots > 0
 
 
 # --------------------------------------------------------------------------

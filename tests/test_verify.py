@@ -1,5 +1,6 @@
 """Verification suites: determinism, serialization, oracle quality."""
 
+import cmath
 import json
 import math
 
@@ -9,10 +10,13 @@ import pytest
 from diskjet import InfeasibleConstraintError, InterpolationData, Jet3, VerificationReport, \
     blaschke_jet, blaschke_value, disk_order3, fd_audit, fd_jet, membership_audit, moebius_jet, \
     moebius_value, regime2_search, sample_self_map
-from diskjet import verify
+from diskjet import stream, verify
+from diskjet.carray import CArray
 from diskjet.cli import VERIFY_MAX_SAMPLES
-from diskjet.verify import (_base_point, _draw, _draw_block, _fd_block, _fd_draw, _fd_sample,
-                            _pcg64_block, _sub_rng, merge_reports, run_suite, sample_base_point)
+from diskjet.stream import pcg64_block
+from diskjet.verify import (_Block, _base_points, _draw, _draw_block, _fd_block,
+                            _fd_draw, _fd_draw_block, _fd_jets, _sub_rng, merge_reports,
+                            run_suite, sample_base_point)
 
 
 def test_report_serialization_keys():
@@ -156,47 +160,98 @@ def _membership_draw(seed, index):
     return sample_self_map(rng, 6, min_degree=1), sample_base_point(rng)
 
 
+def _complex(c, i):
+    return complex(c.re[i], c.im[i])
+
+
+def _carray(values):
+    c = np.array(values, dtype=complex)
+    return CArray(c.real.copy(), c.imag.copy())
+
+
+def _arrays(draws):
+    """(_Block, a, z0) of scalar (B, a, z0) draws, as _fd_draw_block gives them."""
+    specs, a, z0 = zip(*draws)
+    degree = np.array([b.degree for b in specs])
+    zeros = [_carray([b.zeros[j] if j < b.degree else 0j for b in specs])
+             for j in range(degree.max())]
+    unit = _carray([cmath.exp(1j * b.phase) for b in specs])
+    return _Block(degree, unit, zeros, None), _carray(a), _carray(z0)
+
+
+def _jet_rows(jet):
+    """Rows of four CArrays as tuples of complex numbers."""
+    return [tuple(_complex(c, i) for c in jet) for i in range(len(jet[0].re))]
+
+
+def _block_rows(block):
+    """(degree, exp(i phase), zeros, tail) of each row of a _Block."""
+    return [(d, _complex(block.unit, i),
+             tuple(_complex(z, i) for z in block.zeros[:d]),
+             [] if block.tail is None else block.tail[i].tolist())
+            for i, d in enumerate(block.degree.tolist())]
+
+
+def _scalar_rows(draws):
+    """_block_rows of scalar (B, tail) draws."""
+    return [(b.degree, cmath.exp(1j * b.phase), b.zeros, tail) for b, tail in draws]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2 ** 31 - 1, 2 ** 32, 2 ** 64 + 5, FOUR_WORD_SEED])
 def test_block_stream_matches_default_rng(seed):
     # the block stream is numpy's stream, up to the last index verify --n allows
     for start, stop in ((0, 130), (1000, 1128), (VERIFY_MAX_SAMPLES - 128, VERIFY_MAX_SAMPLES)):
-        raw = _pcg64_block(seed, start, stop, 16)
+        raw = pcg64_block(seed, start, stop, 16)
         assert raw.shape == (stop - start, 16) and raw.dtype == np.uint64
         want = [np.random.default_rng((seed, i)).bit_generator.random_raw(16).tolist()
                 for i in range(start, stop)]
         assert raw.tolist() == want, (seed, start)
-        got = [(spec, _base_point(*u)) for spec, u in _draw_block(seed, start, stop, 6, 2)]
-        assert repr(got) == repr([_membership_draw(seed, i) for i in range(start, stop)]), \
-            (seed, start)
-        got = [_fd_sample(*d) for d in _draw_block(seed, start, stop, 4, 4)]
-        assert repr(got) == repr([_fd_draw(seed, i) for i in range(start, stop)]), (seed, start)
+        block = _draw_block(seed, start, stop, 6, 2)
+        draws = [_membership_draw(seed, i) for i in range(start, stop)]
+        assert repr(_block_rows(block._replace(tail=None))) == \
+            repr(_scalar_rows((b, []) for b, _ in draws)), (seed, start)
+        z0 = _base_points(block.tail[:, 0], block.tail[:, 1])
+        assert repr([_complex(z0, i) for i in range(stop - start)]) == \
+            repr([z for _, z in draws]), (seed, start)
+        block, a, z0 = _fd_draw_block(seed, start, stop)
+        draws = [_fd_draw(seed, i) for i in range(start, stop)]
+        assert repr(_block_rows(block._replace(tail=None))) == \
+            repr(_scalar_rows((b, []) for b, _, _ in draws)), (seed, start)
+        assert repr([(_complex(a, i), _complex(z0, i)) for i in range(stop - start)]) == \
+            repr([(a, z0) for _, a, z0 in draws]), (seed, start)
 
 
-def test_block_draw_lemire_rejection_takes_scalar_path(monkeypatch):
-    # output 0 with low word 0 is below Lemire's threshold (2^32 - 6) % 6 = 4
-    # for degrees 1 to 6, so Generator.integers draws again: that row must
-    # come from _sub_rng, the others from the block
-    block, calls = verify._pcg64_block, []
+def _zero_low_word(monkeypatch, row):
+    """Make output 0 of one row of every pcg64_block have low word 0: below
+    Lemire's threshold (2^32 - 6) % 6 = 4 for degrees 1 to 6, so
+    Generator.integers draws again and the row must come from _sub_rng."""
+    block = stream.pcg64_block
 
     def zero_low_word(seed, start, stop, k):
         raw = block(seed, start, stop, k)
-        raw[1, 0] &= np.uint64(0xFFFFFFFF00000000)
+        raw[row, 0] &= np.uint64(0xFFFFFFFF00000000)
         return raw
+
+    monkeypatch.setattr(stream, "pcg64_block", zero_low_word)
+
+
+def test_block_draw_lemire_rejection_takes_scalar_path(monkeypatch):
+    calls = []
 
     def spy(seed, index):
         calls.append(index)
         return np.random.default_rng((seed, index))
 
-    monkeypatch.setattr(verify, "_pcg64_block", zero_low_word)
+    _zero_low_word(monkeypatch, 1)
     monkeypatch.setattr(verify, "_sub_rng", spy)
     got = _draw_block(3, 10, 13, 6, 2)
     assert calls == [11]
-    assert repr(got) == repr([_draw(3, i, 6, 2) for i in range(10, 13)])
+    assert repr(_block_rows(got)) == repr(_scalar_rows(_draw(3, i, 6, 2) for i in range(10, 13)))
 
 
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
-        _pcg64_block(-1, 0, 4, 2)
+        pcg64_block(-1, 0, 4, 2)
     with pytest.raises(ValueError):
         membership_audit(5, seed=-1)
     with pytest.raises(ValueError):
@@ -232,9 +287,10 @@ def _membership_loop(n_samples, seed):
 
 def _fd_loop(n_samples, seed):
     report = VerificationReport(suite="fd", samples=n_samples, seed=seed)
-    for start in range(0, n_samples, verify.FD_BLOCK):
-        draws = [_fd_draw(seed, i) for i in range(start, min(start + verify.FD_BLOCK, n_samples))]
-        for i, ((spec, a, z0), num) in enumerate(zip(draws, _fd_block(draws).tolist()), start):
+    for start in range(0, n_samples, verify.BLOCK):
+        draws = [_fd_draw(seed, i) for i in range(start, min(start + verify.BLOCK, n_samples))]
+        for i, ((spec, a, z0), num) in enumerate(zip(draws, _jet_rows(_fd_block(*_arrays(draws)))),
+                                                 start):
             jet = moebius_jet(a, blaschke_jet(spec, z0))
             rel = max(abs(jet[k] - num[k]) / max(abs(jet[k]), 1e-300) for k in (1, 2, 3))
             if rel > report.max_violation:
@@ -269,10 +325,10 @@ def test_fd_block_matches_scalar_stencil():
                        sample_base_point(rng, 0.1, 0.5)))
     want = [_fd_reference(d) for d in draws]
     for block in (1, 255, 256, 257):
-        rows = np.concatenate([_fd_block(draws[k:k + block])
-                               for k in range(0, len(draws), block)])
-        assert rows.shape == (len(draws), 4)
-        for got, ref in zip(rows.tolist(), want):
+        rows = [row for k in range(0, len(draws), block)
+                for row in _jet_rows(_fd_block(*_arrays(draws[k:k + block])))]
+        assert len(rows) == len(draws)
+        for got, ref in zip(rows, want):
             for k in range(4):
                 assert abs(got[k] - ref[k]) <= 1e-12 * abs(ref[k]), (block, k)
 
@@ -288,7 +344,7 @@ def test_fd_audit_sample_count_and_worst_case():
             draw = _fd_draw(4, i)
             spec, a, z0 = draw
             jet = moebius_jet(a, blaschke_jet(spec, z0))
-            num = _fd_block([draw])[0].tolist()
+            num = _jet_rows(_fd_block(*_arrays([draw])))[0]
             errors.append(max(abs(jet[k] - num[k]) / abs(jet[k]) for k in (1, 2, 3)))
         i = rep.worst_case["index"]
         assert errors[i] == rep.max_violation == max(errors)
@@ -331,3 +387,130 @@ def test_regime2_matches_loop(density, monkeypatch):
     assert (rep.samples, rep.violations, rep.max_violation, rep.worst_case) == want
     if density > 2:
         assert want[1] > 0 and want[3] is not None
+
+
+# --------------------------------------------------------------------------
+# the array blocks row by row: every row has the bits of the scalar public
+# chain, which a call-by-call replay of the audits uses
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
+def _scalar_disk3(z0, w):
+    """(lambda, mu, center, radius) of disk_order3(InterpolationData(...)),
+    or None where it raises InfeasibleConstraintError."""
+    try:
+        data = InterpolationData(z0, *w[:3])
+        disk = disk_order3(data)
+    except InfeasibleConstraintError:
+        return None
+    return data.lam, data.mu, disk.center, disk.radius
+
+
+def _assert_disk3_rows(got, z0, ws):
+    """got, the _disk3_rows of rows z0, ws, has the bits of the scalar chain."""
+    lam, mu, center, radius, anomaly = got
+    for k, (z, w) in enumerate(zip(z0, ws)):
+        want = _scalar_disk3(z, w)
+        assert bool(anomaly[k]) == (want is None), k
+        if want is None:
+            continue
+        assert _hex(_complex(lam, k)) == _hex(want[0]), k
+        if want[1] is not None:
+            assert _hex(_complex(mu, k)) == _hex(want[1]), k
+        assert _hex(_complex(center, k)) == _hex(want[2]), k
+        assert radius[k].hex() == want[3].hex(), k
+
+
+def _assert_membership_rows(seed, start, stop):
+    rows = verify._membership_rows(seed, start, stop)
+    z0, ws = [], []
+    for k, i in enumerate(range(start, stop)):
+        spec, z = _membership_draw(seed, i)
+        fj = Jet3.identity(z) * blaschke_jet(spec, z)
+        w = (fj.a0, fj.a1, 2.0 * fj.a2, 6.0 * fj.a3)
+        assert rows.degree[k] == spec.degree, i
+        assert _hex(_complex(rows.z0, k)) == _hex(z), i
+        assert [_hex(_complex(x, k)) for x in rows.w] == [_hex(x) for x in w], i
+        disk = _scalar_disk3(z, w)
+        if disk is not None:
+            assert rows.excess[k].hex() == (abs(w[3] - disk[2]) - disk[3]).hex(), i
+        z0.append(z)
+        ws.append(w)
+    _assert_disk3_rows((rows.lam, rows.mu, rows.center, rows.radius, rows.anomaly), z0, ws)
+
+
+def _assert_fd_rows(seed, start, stop):
+    draws = _fd_draw_block(seed, start, stop)
+    jets, stencils = _jet_rows(_fd_jets(*draws)), _jet_rows(_fd_block(*draws))
+    for i, jet, num in zip(range(start, stop), jets, stencils):
+        spec, a, z0 = _fd_draw(seed, i)
+        assert [_hex(x) for x in jet] == [_hex(x) for x in moebius_jet(a, blaschke_jet(spec, z0))], i
+        assert [_hex(x) for x in num] == [_hex(x) for x in _fd_reference((spec, a, z0))], i
+
+
+@pytest.mark.parametrize("seed, n", [(seed, 2000) for seed in range(10)]
+                         + [(5, 1), (5, 127), (5, 129), (5, 2001)])
+def test_block_rows_match_scalar_chain(seed, n):
+    # the blocks the audits take, row by row
+    for start in range(0, n, verify.BLOCK):
+        _assert_membership_rows(seed, start, min(start + verify.BLOCK, n))
+        _assert_fd_rows(seed, start, min(start + verify.BLOCK, n))
+
+
+def test_block_rows_with_lemire_rejection(monkeypatch):
+    # fd's degrees 1 to 4 divide 2^32, so only membership draws can be rejected
+    _zero_low_word(monkeypatch, 1)
+    _assert_membership_rows(3, 0, 130)
+    assert _fields(membership_audit(130, 3)) == _fields(_membership_loop(130, 3))
+
+
+def test_disk3_rows_on_constructed_rows():
+    from diskjet import disk_order1, disk_order2, mu_from_w2
+    from diskjet.dieudonne import CASE1_TOL, FEAS_TOL, case
+
+    def on_disk(z0, disk, p):
+        return disk.center + disk.radius * (z0.conjugate() / abs(z0)) * p
+
+    rows = []
+    # degree 1: lambda is unimodular (case 1)
+    spec, z0 = verify.BlaschkeSpec(0.3, (0.4 - 0.2j,)), 0.6 + 0.3j
+    fj = Jet3.identity(z0) * blaschke_jet(spec, z0)
+    rows.append((z0, (fj.a0, fj.a1, 2.0 * fj.a2, 6.0 * fj.a3)))
+    assert InterpolationData(z0, fj.a0, fj.a1, 2.0 * fj.a2).mu is None
+    # mu read off at |mu| = 1 + 2^-52 after its clamp, so disk_order3_params
+    # clamps it again (case 2)
+    z0, w0 = 0.5 + 0.2j, 0.1 + 0.05j
+    w1 = on_disk(z0, disk_order1(z0, w0), 0.3 - 0.1j)
+    lam = InterpolationData(z0, w0, w1).lam
+    d2 = disk_order2(z0, w0, lam)
+    w2 = next(w for w in (on_disk(z0, d2, cmath.rect(1.0 + 0.5 * FEAS_TOL, 0.01 * k))
+                          for k in range(1000)) if abs(mu_from_w2(z0, w0, w, lam)) > 1.0)
+    rows.append((z0, (w0, w1, w2, 0j)))
+    # case 2 inside the circle, and case 3
+    rows.append((z0, (w0, w1, on_disk(z0, d2, (1.0 - 0.5 * CASE1_TOL) * 1j), 0j)))
+    rows.append((z0, (w0, w1, on_disk(z0, d2, 0.2 + 0.7j), 0j)))
+    assert [case(InterpolationData(z0, *w[:3]).lam, InterpolationData(z0, *w[:3]).mu)
+            for _, w in rows[1:]] == [2, 2, 3]
+    # anomalies: |lambda| past 1 + FEAS_TOL, |mu| past it, and |w0| >= |z0|
+    rows.append((z0, (w0, on_disk(z0, disk_order1(z0, w0), 1.1j), w2, 0j)))
+    rows.append((z0, (w0, w1, on_disk(z0, d2, -1.0 - 2.0 * FEAS_TOL), 0j)))
+    rows.append((0.3 + 0.4j, (0.4 + 0.3j, w1, w2, 0j)))
+    # |lambda| within FEAS_TOL past 1 (clamped, case 1)
+    rows.append((z0, (w0, on_disk(z0, disk_order1(z0, w0), -(1.0 + 0.5 * FEAS_TOL)), w2, 0j)))
+    # a row where numpy's x ** 2 rounds differently from Python's for x = |lambda|
+    gen = np.random.default_rng(3)
+    for p in gen.uniform(-0.7, 0.7, (2000, 2)).tolist():
+        w1 = on_disk(z0, disk_order1(z0, w0), complex(*p))
+        lam = InterpolationData(z0, w0, w1).lam
+        if np.power(abs(lam), 2.0) != abs(lam) ** 2:
+            rows.append((z0, (w0, w1, on_disk(z0, disk_order2(z0, w0, lam), 0.1 - 0.2j), 0j)))
+            break
+    else:
+        raise AssertionError("no row where np.power(x, 2.0) != x ** 2")
+    z0s, ws = zip(*rows)
+    got = verify._disk3_rows(_carray(z0s), *(_carray([w[k] for w in ws]) for k in range(3)))
+    assert got[4].tolist() == [False] * 4 + [True] * 3 + [False] * 2
+    _assert_disk3_rows(got, z0s, ws)

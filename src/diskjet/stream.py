@@ -66,17 +66,28 @@ def _seed_state(seed: int, index: np.ndarray) -> list:
     return [words[j] | words[j + 1] << 32 for j in range(0, 8, 2)]
 
 
-def _mulhi(a, b):
-    """High 64 bits of the 128-bit products of uint64 arrays, in 32-bit limbs."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
-    t = a1 * b0 + (a0 * b0 >> 32)
-    u = a0 * b1 + (t & _MASK32)
-    return a1 * b1 + (t >> 32) + (u >> 32)
-
-
-def _mul128(ah, al, bh, bl):
-    """(hi, lo) of the products mod 2^128 of (ah, al) and (bh, bl)."""
-    return _mulhi(al, bl) + al * bh + ah * bl, al * bl
+def _mul128(ah, al, bh, bl, hi, lo, t) -> None:
+    """Write the products mod 2^128 of (ah, al) and (bh, bl) into the uint64
+    buffers hi and lo; t is scratch of their shape.  The high word of al bl
+    is built from 32-bit limbs, with lo as scratch until it is written."""
+    a0, a1, b0, b1 = al & _MASK32, al >> 32, bl & _MASK32, bl >> 32
+    np.multiply(a1, b0, out=t)
+    np.multiply(a0, b0, out=lo)
+    lo >>= 32
+    t += lo  # a1 b0 + (a0 b0 >> 32)
+    np.multiply(a0, b1, out=lo)
+    np.bitwise_and(t, _MASK32, out=hi)
+    lo += hi  # a0 b1 + (t & mask)
+    np.multiply(a1, b1, out=hi)
+    t >>= 32
+    hi += t
+    lo >>= 32
+    hi += lo  # the high word of al bl
+    np.multiply(al, bh, out=t)
+    hi += t
+    np.multiply(ah, bl, out=t)
+    hi += t
+    np.multiply(al, bl, out=lo)
 
 
 def _split(values) -> tuple:
@@ -94,6 +105,8 @@ def pcg64_block(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     of the state.  Unrolled, with M = _PCG_MULT, output j reads the state
     M^(j+2) initstate + (1 + M + ... + M^(j+2)) inc, so every output of
     the block comes from two 128-bit products with per-column constants.
+    They and the output step run in place in five ``(rows, k)`` buffers,
+    the last of which is returned.
     """
     if not 0 <= start <= stop <= 2 ** 32:
         raise ValueError("need 0 <= start <= stop <= 2**32")
@@ -102,12 +115,20 @@ def pcg64_block(seed: int, start: int, stop: int, k: int) -> np.ndarray:
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
     powers = [pow(_PCG_MULT, t, 2 ** 128) for t in range(k + 2)]
     sums = [total % 2 ** 128 for total in itertools.accumulate(powers)]
-    xh, xl = _mul128(*_split(powers[2:]), init_hi[:, None], init_lo[:, None])
-    yh, yl = _mul128(*_split(sums[2:]), inc_hi[:, None], inc_lo[:, None])
-    lo = xl + yl
-    hi = xh + yh + (lo < xl)
-    x, rot = hi ^ lo, hi >> 58
-    return x >> rot | x << ((64 - rot) & 63)
+    hi, lo, yh, yl, t = (np.empty((stop - start, k), dtype=np.uint64) for _ in range(5))
+    _mul128(*_split(powers[2:]), init_hi[:, None], init_lo[:, None], hi, lo, t)
+    _mul128(*_split(sums[2:]), inc_hi[:, None], inc_lo[:, None], yh, yl, t)
+    lo += yl
+    hi += yh
+    hi += lo < yl  # the carry
+    lo ^= hi  # XSL: x = hi ^ lo, rotated right by hi >> 58
+    hi >>= 58
+    np.right_shift(lo, hi, out=yl)
+    np.subtract(64, hi, out=hi)
+    hi &= 63
+    lo <<= hi
+    yl |= lo
+    return yl
 
 
 def bounded_draws(seed: int, start: int, stop: int, high: int, n_doubles: int) -> tuple:

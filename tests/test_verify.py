@@ -3,13 +3,15 @@
 import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from diskjet import InfeasibleConstraintError, InterpolationData, Jet3, VerificationReport, \
-    blaschke_jet, blaschke_value, disk_order3, fd_audit, fd_jet, membership_audit, moebius_jet, \
-    moebius_value, regime2_search, sample_self_map
+from diskjet import InfeasibleConstraintError, InterpolationData, Jet3, NormalizedConfig, \
+    VerificationReport, blaschke_jet, blaschke_value, disk_order3, disk_order3_params, \
+    eval_extremal, extremal_spec, fd_audit, fd_jet, membership_audit, moebius_jet, moebius_value, \
+    regime2_search, sample_self_map
 from diskjet import stream, verify
 from diskjet.carray import CArray
 from diskjet.cli import VERIFY_MAX_SAMPLES
@@ -221,6 +223,38 @@ def test_block_stream_matches_default_rng(seed):
             repr([(a, z0) for _, a, z0 in draws]), (seed, start)
 
 
+@pytest.mark.parametrize("seed", [5, 2 ** 40 + 5, 2 ** 70 + 9])  # one, two and three words
+@pytest.mark.parametrize("k", [1, 17])
+def test_pcg64_block_rows_match_pcg64(seed, k):
+    # the block's buffers are written in place; every row count must come out whole
+    for rows in (1, 511, 513, 1023, 1025, 2049):
+        got = pcg64_block(seed, 1000, 1000 + rows, k)
+        want = [np.random.PCG64(np.random.SeedSequence((seed, i))).random_raw(k).tolist()
+                for i in range(1000, 1000 + rows)]
+        assert got.tolist() == want, rows
+
+
+def _peak_bytes(fn, *args):
+    """tracemalloc's peak over one call of fn, after a warm-up call."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_block_memory_peaks():
+    # measured at BLOCK = 1024: pcg64_block (k = 17) peaks at 6.5 arrays of
+    # its output's size, _fd_block at 7.7 (rows, FD_POINTS) float arrays;
+    # out-of-place 128-bit products peak at 11.4, a full-circle stencil at 13.2
+    rows = verify.BLOCK
+    assert _peak_bytes(pcg64_block, 3, 0, rows, 17) <= 8 * rows * 17 * 8
+    draws = _fd_draw_block(3, 0, rows)
+    assert _peak_bytes(_fd_block, *draws) <= 9 * rows * verify.FD_POINTS * 8
+
+
 def _zero_low_word(monkeypatch, row):
     """Make output 0 of one row of every pcg64_block have low word 0: below
     Lemire's threshold (2^32 - 6) % 6 = 4 for degrees 1 to 6, so
@@ -387,6 +421,76 @@ def test_regime2_matches_loop(density, monkeypatch):
     assert (rep.samples, rep.violations, rep.max_violation, rep.worst_case) == want
     if density > 2:
         assert want[1] > 0 and want[3] is not None
+
+
+# the per-row loop of extremal_attainment_audit before it ran on arrays
+
+
+def _extremal_loop(n_grid, tol):
+    """(samples, violations, max_violation, worst_case) and every row's error."""
+    samples = violations = 0
+    max_violation, worst_case, errors = 0.0, None, []
+    rs = (0.3, 0.5, 0.7)
+    ss = (0.0, 0.4)
+    lams = (0j, 0.3 + 0.2j, -0.5 + 0j)
+    mus = (0j, 0.4 - 0.3j, 0.6 + 0j)
+    n_theta = max(1, n_grid // (len(rs) * len(ss) * len(lams) * len(mus)))
+    for r in rs:
+        for sf in ss:
+            s = sf * r
+            for lam in lams:
+                for mu in mus:
+                    cfg = NormalizedConfig(r=r, s=s, lam=lam, mu=mu)
+                    disk = disk_order3_params(complex(r), complex(s), lam, mu)
+                    for k in range(n_theta):
+                        theta = 2.0 * math.pi * k / n_theta
+                        spec = extremal_spec(cfg, 3, theta)
+                        w3 = 6.0 * eval_extremal(spec).a3
+                        err = abs(abs(w3 - disk.center) - disk.radius)
+                        errors.append(err)
+                        samples += 1
+                        if err > tol * (1.0 + disk.radius):
+                            violations += 1
+                        if err > max_violation:
+                            max_violation = err
+                            worst_case = {"r": r, "s": s, "theta": theta}
+    return (samples, violations, max_violation, worst_case), errors
+
+
+def _extremal_rows(monkeypatch, n_grid):
+    """The report of extremal_attainment_audit(n_grid) and the errors of
+    its rows, read off the calls to _note_worst."""
+    errors, note = [], verify._note_worst
+
+    def spy(report, values, worst_case):
+        errors.extend(values.tolist())
+        note(report, values, worst_case)
+
+    monkeypatch.setattr(verify, "_note_worst", spy)
+    rep = verify.extremal_attainment_audit(n_grid)
+    return (rep.samples, rep.violations, rep.max_violation, rep.worst_case), errors
+
+
+@pytest.mark.parametrize("n_grid", [1, 53, 54, 55, 540, 541, 1080])
+def test_extremal_rows_match_loop(n_grid, monkeypatch):
+    got, errors = _extremal_rows(monkeypatch, n_grid)
+    want, want_errors = _extremal_loop(n_grid, verify.EXTREMAL_TOL)
+    assert [e.hex() for e in errors] == [e.hex() for e in want_errors]
+    assert got == want and got[0] == 54 * max(1, n_grid // 54)
+    assert got[2].hex() == want[2].hex()
+
+
+def test_extremal_violations_and_ties_match_loop(monkeypatch):
+    # a tolerance below the rounding noise makes violations; the largest
+    # error is attained by rows 742, 800 and 940, which blocks of 400 rows
+    # split, so the first one must be kept across blocks
+    monkeypatch.setattr(verify, "EXTREMAL_TOL", 1e-16)
+    monkeypatch.setattr(verify, "BLOCK", 400)
+    got, errors = _extremal_rows(monkeypatch, 1080)
+    want, _ = _extremal_loop(1080, 1e-16)
+    assert got == want
+    assert 0 < want[1] < want[0]
+    assert [i for i, e in enumerate(errors) if e == want[2]] == [742, 800, 940]
 
 
 # --------------------------------------------------------------------------

@@ -11,7 +11,10 @@ paths are testable even though no admissible (r, s, lambda) reaches them.
 ``gamma`` walks the boundary by support direction, the two
 ``closed_form_*`` functions give the explicit circle/cap expressions, and
 ``sample_boundary`` assembles a closed, convex, branch-tagged polygonal
-trace.
+trace.  A trace is held as arrays (directions, values, branch mask) and
+pushed into the region frame with :class:`~diskjet.carray.CArray`, so each
+value has the bits of ``gamma`` at its direction; the per-point
+``BoundaryPoint`` tuple is built only when a caller reads ``points``.
 """
 
 from __future__ import annotations
@@ -20,9 +23,12 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
+from .carray import CArray
 from .common import DomainError, WrongRegimeError
 from .dieudonne import case, disk_order3_params
 from .envelope import (BRANCH_TOL, EnvelopeConfig, _gap, _wrap, classify_regime,
@@ -55,32 +61,59 @@ class RegionSpec:
         return (w - self.B) / self.C
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(NamedTuple):
     theta: float
     value: complex
     branch: str  # "arc" (tangent-disk branch) or "cap" (degenerate-circle branch)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryCurve:
-    points: tuple
+    """A closed polygonal trace as three read-only arrays of one length.
 
-    def values(self):
-        return [p.value for p in self.points]
+    ``theta`` holds the support directions (float), ``value`` the boundary
+    points (complex) and ``arc`` the branch mask (True on the tangent-disk
+    "arc" branch, False on the "cap" branch).  ``points`` is the same trace
+    as a tuple of :class:`BoundaryPoint` of Python float, complex and str;
+    it is built on first access and then kept.  Two curves are equal when
+    their points are.
+    """
+
+    theta: np.ndarray
+    value: np.ndarray
+    arc: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.theta, self.value, self.arc):
+            a.flags.writeable = False
+
+    @cached_property
+    def points(self) -> tuple:
+        return tuple(map(BoundaryPoint, self.theta.tolist(), self.values(), self.branches()))
+
+    def __eq__(self, other):
+        if not isinstance(other, BoundaryCurve):
+            return NotImplemented
+        return (np.array_equal(self.theta, other.theta)
+                and np.array_equal(self.value, other.value)
+                and np.array_equal(self.arc, other.arc))
+
+    def __hash__(self):
+        return hash(self.points)
+
+    def values(self) -> list:
+        return self.value.tolist()
+
+    def branches(self) -> list:
+        return ["arc" if a else "cap" for a in self.arc.tolist()]
 
     def is_convex(self, slack: float = 1e-10) -> bool:
         """Cross products of consecutive edges all share one sign (up to slack)."""
-        vals = self.values()
-        n = len(vals)
-        scale = max(abs(v) for v in vals) or 1.0
-        for i in range(n):
-            a, b, c = vals[i], vals[(i + 1) % n], vals[(i + 2) % n]
-            e1, e2 = b - a, c - b
-            cross = e1.real * e2.imag - e1.imag * e2.real
-            if cross < -slack * scale * scale:
-                return False
-        return True
+        e1 = np.roll(self.value, -1) - self.value
+        e2 = np.roll(e1, -1)
+        cross = e1.real * e2.imag - e1.imag * e2.real
+        scale = float(np.hypot(self.value.real, self.value.imag).max()) or 1.0
+        return not (cross < -slack * scale * scale).any()
 
 
 def region_spec(r: float, s: float, lam: complex) -> RegionSpec:
@@ -159,35 +192,39 @@ def _theta_grid(n: int) -> np.ndarray:
 def sample_boundary(spec: RegionSpec, n: int) -> BoundaryCurve:
     """Closed branch-tagged boundary trace with n base samples.
 
-    In the mixed regime the grid is refined around the two branch-switch
-    angles until adjacent samples are within REFINE_WIDTH in angle.
+    The directions are the n-point grid of ``_theta_grid``, ascending.  In
+    the mixed regime the grid is refined around the two branch-switch angles
+    until adjacent samples are within REFINE_WIDTH in angle, and the union
+    is sorted without repeats.  The trace is computed on arrays: one
+    ``support_arrays`` call, then one push in ``CArray`` arithmetic, which
+    rounds as ``spec.push`` does on Python complex (numpy's complex product
+    need not), so each value has the bits of ``gamma`` at its direction.  No
+    per-point object is built until ``points`` is read.
     """
     if n < 16:
         raise DomainError("need n >= 16")
-    thetas = _theta_grid(n).tolist()
+    thetas = _theta_grid(n)
     if spec.regime == "iii":
-        th1, th2 = critical_angles(spec.env)
         extra = []
-        for tc in (th1, th2):
+        for tc in critical_angles(spec.env):
             w = 2.0 * math.pi / n
             while w > REFINE_WIDTH:
                 w /= 2.0
                 extra.extend((_wrap(tc - w), _wrap(tc + w)))
             extra.append(tc)
-        thetas = sorted(set(thetas) | set(extra))
+        # sorted, repeats dropped; np.unique would import numpy.ma (about 0.8 MB)
+        thetas = np.sort(np.concatenate((thetas, extra)))
+        thetas = thetas[np.append(True, thetas[1:] != thetas[:-1])]
     full, _, _, v = support_arrays(spec.env, thetas)
-    # push with Python complex, as gamma_point does: numpy's complex
-    # arithmetic rounds differently, and the trace must equal gamma pointwise
-    pts = tuple(BoundaryPoint(th, spec.push(vt), "arc" if arc else "cap")
-                for th, arc, vt in zip(thetas, full.tolist(), v.tolist()))
-    return BoundaryCurve(points=pts)
+    value = spec.B + spec.C * CArray(v.real, v.imag)
+    return BoundaryCurve(thetas, value.numpy(), full)
 
 
 def denormalize(curve: BoundaryCurve, phi: float, xi: float) -> BoundaryCurve:
     """Rotate a normalized-frame curve back to original coordinates."""
     rot = cmath.exp(-1j * (3.0 * phi - xi))
-    pts = tuple(BoundaryPoint(p.theta, rot * p.value, p.branch) for p in curve.points)
-    return BoundaryCurve(points=pts)
+    value = rot * CArray(curve.value.real, curve.value.imag)
+    return BoundaryCurve(curve.theta, value.numpy(), curve.arc)
 
 
 def contains(spec: RegionSpec, w, slack: float = 1e-7):

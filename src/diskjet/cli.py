@@ -23,7 +23,7 @@ EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_VERIFY = 3
 
-#: largest ``boundary --n``: the trace holds O(n) arrays and points in memory
+#: largest ``boundary --n``: the trace and its formatted output take O(n) memory
 BOUNDARY_MAX_N = 100_000
 #: largest ``verify --n`` as a sample count (membership, fd, all) or extremal
 #: grid size.  At the cap (seed 1, Python 3.11 on a 2-core x86-64 Xeon) a run
@@ -116,10 +116,16 @@ def _cmd_disk(args) -> int:
 # --------------------------------------------------------------------------
 # boundary
 
+def _curve_rows(curve):
+    """(theta, re, im, branch) per trace point, as Python floats and str."""
+    return zip(curve.theta.tolist(), curve.value.real.tolist(), curve.value.imag.tolist(),
+               curve.branches())
+
+
 def _curve_csv(curve) -> str:
     lines = ["theta,re,im,branch"]
-    for p in curve.points:
-        lines.append(f"{p.theta:.17g},{p.value.real:.17g},{p.value.imag:.17g},{p.branch}")
+    for theta, re, im, branch in _curve_rows(curve):
+        lines.append(f"{theta:.17g},{re:.17g},{im:.17g},{branch}")
     return "\n".join(lines) + "\n"
 
 
@@ -127,19 +133,15 @@ def _curve_json(curve, regime: str) -> str:
     return _json({
         "regime": regime,
         "points": [
-            {"theta": p.theta,
-             "re": p.value.real,
-             "im": p.value.imag,
-             "branch": p.branch}
-            for p in curve.points
+            {"theta": theta, "re": re, "im": im, "branch": branch}
+            for theta, re, im, branch in _curve_rows(curve)
         ],
     })
 
 
 def _curve_svg(curve, regime: str) -> str:
-    vals = curve.values()
-    xs = [v.real for v in vals]
-    ys = [v.imag for v in vals]
+    xs = curve.value.real.tolist()
+    ys = curve.value.imag.tolist()
     xmin, xmax = min(xs), max(xs)
     ymin, ymax = min(ys), max(ys)
     span = max(xmax - xmin, ymax - ymin, 1e-30)
@@ -152,7 +154,7 @@ def _curve_svg(curve, regime: str) -> str:
     def Y(y: float) -> float:
         return 800.0 - (y - ymin + margin + (span - (ymax - ymin)) / 2.0) * scale
 
-    path = "M " + " L ".join(f"{X(v.real):.3f} {Y(v.imag):.3f}" for v in vals) + " Z"
+    path = "M " + " L ".join(f"{X(x):.3f} {Y(y):.3f}" for x, y in zip(xs, ys)) + " Z"
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 800" '

@@ -9,8 +9,9 @@ from diskjet import (DomainError, InterpolationData, NormalizedConfig,
                      WrongRegimeError, abstract_region, closed_form_cap,
                      closed_form_circle, disk_order3_params, eval_extremal,
                      extremal_spec, gamma, normalize, region_spec, sample_boundary)
-from diskjet.boundary import contains, denormalize, gamma_point
-from diskjet.envelope import _gap, support_point
+from diskjet.boundary import (REFINE_WIDTH, BoundaryCurve, BoundaryPoint, contains,
+                              denormalize, gamma_point)
+from diskjet.envelope import _gap, _wrap, critical_angles, support_arrays, support_point
 
 from conftest import random_disk_point, rng
 
@@ -151,16 +152,123 @@ def test_containment_rejects_outside():
         assert not contains(spec, outward, slack=1e-7)
 
 
+def _seeded_specs(seed=83, per_regime=2):
+    """The first admissible specs of regimes i and iii from a seeded draw,
+    plus one abstract regime-ii spec."""
+    gen, specs, need = rng(seed), [], {"i": per_regime, "iii": per_regime}
+    while any(need.values()):
+        r = float(gen.uniform(0.01, 0.99))
+        spec = region_spec(r, r * float(gen.uniform()), random_disk_point(gen, cap=0.99))
+        if need.get(spec.regime):
+            need[spec.regime] -= 1
+            specs.append(spec)
+    return specs + [abstract_region(0.7, 0.15 + 0.05j, B=0.5 - 2.0j, C=-1.1 + 0.8j)]
+
+
+def _grid_oracle(spec, n):
+    """The refined direction grid by the Python rule: sorted(set(...)) of floats."""
+    thetas = grid(n)
+    if spec.regime == "iii":
+        extra = []
+        for tc in critical_angles(spec.env):
+            w = 2.0 * math.pi / n
+            while w > REFINE_WIDTH:
+                w /= 2.0
+                extra.extend((_wrap(tc - w), _wrap(tc + w)))
+            extra.append(tc)
+        thetas = sorted(set(thetas) | set(extra))
+    return thetas
+
+
+def _hex(z):
+    return z.real.hex(), z.imag.hex()
+
+
 def test_trace_replays_support_points_bit_for_bit():
-    # the batch trace equals scalar support points pushed one by one
-    for spec in (SPEC_I, SPEC_II, SPEC_ADM, SPEC_III):
+    # every trace point has the bits of its own scalar support point pushed
+    # with Python complex arithmetic, signed zeros included
+    cases = [(spec, n) for spec in (SPEC_I, SPEC_II, SPEC_ADM, SPEC_III) for n in (16, 360)]
+    cases += [(spec, n) for spec in _seeded_specs(per_regime=1) for n in (16, 17, 360, 3600)]
+    for spec, n in cases:
+        curve = sample_boundary(spec, n)
+        for th, value, arc in zip(curve.theta.tolist(), curve.values(), curve.arc.tolist()):
+            sp = support_point(spec.env, th)
+            assert arc == (sp.regime_branch == "full-point")
+            assert _hex(value) == _hex(spec.push(sp.v_theta)), (spec, n, th)
+
+
+def test_refined_grid_matches_sorted_set_rule():
+    specs = _seeded_specs(seed=89, per_regime=40)
+    assert sum(spec.regime == "iii" for spec in specs) == 40
+    for spec in specs:
+        for n in (16, 17, 360):
+            thetas = sample_boundary(spec, n).theta.tolist()
+            assert [t.hex() for t in thetas] == [t.hex() for t in _grid_oracle(spec, n)]
+
+
+def test_trace_builds_no_points_until_asked(monkeypatch):
+    import diskjet.boundary as bnd
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return BoundaryPoint(*args)
+
+    monkeypatch.setattr(bnd, "BoundaryPoint", counting)
+    for spec in (SPEC_I, SPEC_II, SPEC_ADM):
         curve = sample_boundary(spec, 360)
-        replayed = []
-        for p in curve.points:
-            sp = support_point(spec.env, p.theta)
-            assert p.branch == ("arc" if sp.regime_branch == "full-point" else "cap")
-            replayed.append(spec.push(sp.v_theta))
-        assert curve.values() == replayed
+        rotated = denormalize(curve, 0.4, -1.3)
+        assert curve.is_convex() and rotated.is_convex()
+        assert all(contains(spec, curve.values()))
+        assert built == []
+        # built once, on first access, as Python types
+        points = curve.points
+        assert len(built) == len(points) and curve.points is points
+        assert all(type(p) is BoundaryPoint and type(p.theta) is float
+                   and type(p.value) is complex and type(p.branch) is str for p in points)
+        # the tuple the per-point trace builds
+        thetas = _grid_oracle(spec, 360)
+        full, _, _, v = support_arrays(spec.env, thetas)
+        assert points == tuple(BoundaryPoint(th, spec.push(vt), "arc" if a else "cap")
+                               for th, a, vt in zip(thetas, full.tolist(), v.tolist()))
+        built.clear()
+
+
+def test_curve_equality_and_read_only_arrays():
+    curve = sample_boundary(SPEC_ADM, 64)
+    again = sample_boundary(SPEC_ADM, 64)
+    assert curve == again and hash(curve) == hash(again)
+    assert curve != denormalize(curve, 0.5, 0.0) and curve != sample_boundary(SPEC_ADM, 65)
+    assert curve != curve.points
+    with pytest.raises(ValueError):
+        curve.value[0] = 0j
+
+
+def _is_convex_loop(vals, slack=1e-10):
+    """Per-point convexity test on Python complex values (the oracle)."""
+    n = len(vals)
+    scale = max(abs(v) for v in vals) or 1.0
+    for i in range(n):
+        a, b, c = vals[i], vals[(i + 1) % n], vals[(i + 2) % n]
+        e1, e2 = b - a, c - b
+        if e1.real * e2.imag - e1.imag * e2.real < -slack * scale * scale:
+            return False
+    return True
+
+
+def test_is_convex_matches_point_loop():
+    gen = rng(97)
+    curves = []
+    for spec in (SPEC_I, SPEC_II, SPEC_ADM, SPEC_III) + tuple(_seeded_specs(seed=101)):
+        for n in (16, 17, 360):
+            c = sample_boundary(spec, n)
+            perm = gen.permutation(len(c.theta))
+            curves += [c, denormalize(c, 1.1, 0.2),
+                       BoundaryCurve(c.theta[::-1], c.value[::-1], c.arc[::-1]),
+                       BoundaryCurve(c.theta[perm], c.value[perm], c.arc[perm])]
+    verdicts = [(c.is_convex(), _is_convex_loop(c.values())) for c in curves]
+    assert all(a == b for a, b in verdicts)
+    assert 0 < sum(not a for a, _ in verdicts) < len(verdicts)
 
 
 def test_contains_array_matches_scalar():

@@ -183,6 +183,24 @@ def test_boundary_svg_strict_xml(capsys):
     assert "path" in tags and "circle" in tags
 
 
+def test_boundary_formats_read_the_trace_arrays(capsys):
+    # csv and json rows of a rotated regime-iii query are the curve's points
+    from diskjet import boundary, dieudonne
+    argv = ["--z0", "0.71-0.2i", "--w0", "0.33+0.31i", "--w1", "-0.61+0.53i", "--n", "17"]
+    cfg = dieudonne.normalize(dieudonne.InterpolationData(
+        *(parse_complex(v) for v in argv[1:6:2])))
+    spec = boundary.region_spec(cfg.r, cfg.s, cfg.lam)
+    assert spec.regime == "iii" and cfg.phi != 0.0
+    points = boundary.denormalize(boundary.sample_boundary(spec, 17), cfg.phi, cfg.xi).points
+    out = run(capsys, "boundary", *argv, "--format", "csv")[1]
+    assert out.splitlines()[1:] == [
+        f"{p.theta:.17g},{p.value.real:.17g},{p.value.imag:.17g},{p.branch}" for p in points]
+    out = run(capsys, "boundary", *argv, "--format", "json")[1]
+    assert json.loads(out)["points"] == [
+        {"theta": p.theta, "re": p.value.real, "im": p.value.imag, "branch": p.branch}
+        for p in points]
+
+
 def test_boundary_degenerate_lambda(capsys):
     # w1 on the rim of the first-derivative disk: |lambda| = 1, no curve
     z0, w0 = 0.5, 0.25
